@@ -12,7 +12,7 @@ SimBst::SimBst(VirtualMemory& vm,
 
     for (const auto& [key, value] : items) {
         simAssert(key.size() == keyLen_, "inconsistent key length");
-        root_ = insert(root_, key, value);
+        insert(key, value);
     }
 
     headerAddr_ = vm_.allocLines(kCacheLineBytes);
@@ -25,36 +25,37 @@ SimBst::SimBst(VirtualMemory& vm,
     h.writeTo(vm_, headerAddr_);
 }
 
-Addr
-SimBst::insert(Addr node, const Key& key, std::uint64_t value)
+void
+SimBst::insert(const Key& key, std::uint64_t value)
 {
-    if (node == kNullAddr) {
-        const std::uint64_t nodeBytes = 24 + pad8(keyLen_);
-        // Line-align nodes that fit a cacheline (single staged fetch).
-        const std::uint64_t align =
-            nodeBytes <= kCacheLineBytes ? kCacheLineBytes : 8;
-        const Addr fresh = vm_.alloc(nodeBytes, align);
-        vm_.write<std::uint64_t>(fresh + 0, kNullAddr);
-        vm_.write<std::uint64_t>(fresh + 8, kNullAddr);
-        vm_.write<std::uint64_t>(fresh + 16, value);
-        storeKey(vm_, fresh + 24, key);
-        return fresh;
+    // Descend to the null link the key belongs at; only that link (or
+    // the root) changes, so nothing else is written back.
+    Key stored(keyLen_);
+    Addr link = kNullAddr;
+    for (Addr node = root_; node != kNullAddr;
+         node = vm_.read<std::uint64_t>(link)) {
+        vm_.readBytes(node + 24, stored.data(), keyLen_);
+        const int c = compareKeys(stored, key);
+        if (c == 0) {
+            vm_.write<std::uint64_t>(node + 16, value); // overwrite
+            return;
+        }
+        link = node + (c < 0 ? 8 : 0); // stored < key: go right
     }
-    const Key stored = loadKey(vm_, node + 24, keyLen_);
-    const int c = compareKeys(stored, key);
-    if (c == 0) {
-        vm_.write<std::uint64_t>(node + 16, value); // overwrite
-    } else if (c < 0) {
-        // stored < key: insert to the right.
-        vm_.write<std::uint64_t>(
-            node + 8,
-            insert(vm_.read<std::uint64_t>(node + 8), key, value));
-    } else {
-        vm_.write<std::uint64_t>(
-            node + 0,
-            insert(vm_.read<std::uint64_t>(node + 0), key, value));
-    }
-    return node;
+
+    const std::uint64_t nodeBytes = 24 + pad8(keyLen_);
+    // Line-align nodes that fit a cacheline (single staged fetch).
+    const std::uint64_t align =
+        nodeBytes <= kCacheLineBytes ? kCacheLineBytes : 8;
+    const Addr fresh = vm_.alloc(nodeBytes, align);
+    vm_.write<std::uint64_t>(fresh + 0, kNullAddr);
+    vm_.write<std::uint64_t>(fresh + 8, kNullAddr);
+    vm_.write<std::uint64_t>(fresh + 16, value);
+    storeKey(vm_, fresh + 24, key);
+    if (link == kNullAddr)
+        root_ = fresh;
+    else
+        vm_.write<std::uint64_t>(link, fresh);
 }
 
 QueryTrace
@@ -64,6 +65,7 @@ SimBst::query(const Key& key) const
     QueryTrace trace;
     const std::uint32_t perNode = 10 + memcmpInstrCost(keyLen_);
 
+    Key stored(keyLen_);
     Addr node = root_;
     bool first = true;
     while (node != kNullAddr) {
@@ -78,7 +80,7 @@ SimBst::query(const Key& key) const
         trace.touches.push_back(touch);
         first = false;
 
-        const Key stored = loadKey(vm_, node + 24, keyLen_);
+        vm_.readBytes(node + 24, stored.data(), keyLen_);
         const int c = compareKeys(stored, key);
         if (c == 0) {
             trace.found = true;
@@ -103,27 +105,27 @@ SimBst::stageKey(const Key& key)
     return addr;
 }
 
-void
-SimBst::accumulateDepth(Addr node, std::uint64_t depth,
-                        std::uint64_t& total,
-                        std::uint64_t& count) const
-{
-    if (node == kNullAddr)
-        return;
-    total += depth;
-    ++count;
-    accumulateDepth(vm_.read<std::uint64_t>(node + 0), depth + 1, total,
-                    count);
-    accumulateDepth(vm_.read<std::uint64_t>(node + 8), depth + 1, total,
-                    count);
-}
-
 double
 SimBst::averageDepth() const
 {
+    // Explicit stack: a degenerate (sorted-input) tree is as deep as it
+    // is large, too deep to recurse on the host stack.
     std::uint64_t total = 0;
     std::uint64_t count = 0;
-    accumulateDepth(root_, 1, total, count);
+    std::vector<std::pair<Addr, std::uint64_t>> pending;
+    if (root_ != kNullAddr)
+        pending.emplace_back(root_, 1);
+    while (!pending.empty()) {
+        const auto [node, depth] = pending.back();
+        pending.pop_back();
+        total += depth;
+        ++count;
+        for (const Addr child : {vm_.read<std::uint64_t>(node + 0),
+                                 vm_.read<std::uint64_t>(node + 8)}) {
+            if (child != kNullAddr)
+                pending.emplace_back(child, depth + 1);
+        }
+    }
     return count ? static_cast<double>(total) /
                        static_cast<double>(count)
                  : 0.0;

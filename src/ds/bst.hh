@@ -41,10 +41,7 @@ class SimBst
     double averageDepth() const;
 
   private:
-    Addr insert(Addr node, const Key& key, std::uint64_t value);
-    void accumulateDepth(Addr node, std::uint64_t depth,
-                         std::uint64_t& total,
-                         std::uint64_t& count) const;
+    void insert(const Key& key, std::uint64_t value);
 
     VirtualMemory& vm_;
     Addr headerAddr_ = kNullAddr;

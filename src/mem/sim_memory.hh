@@ -112,6 +112,19 @@ class SimMemory
         }
     }
 
+    /**
+     * Host bytes of physical frame @p frame, materialised (zero-filled)
+     * if untouched. Pages never move or die while the SimMemory lives,
+     * so callers may keep the pointer; VirtualMemory resolves each heap
+     * page through this once instead of hashing on every access.
+     */
+    std::uint8_t*
+    frameBytes(Addr frame)
+    {
+        boundsCheck(frame * kPageBytes, kPageBytes);
+        return pageFor(frame).data();
+    }
+
   private:
     using Page = std::array<std::uint8_t, kPageBytes>;
 

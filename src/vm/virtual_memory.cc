@@ -9,12 +9,10 @@ FrameAllocator::FrameAllocator(std::uint64_t total_frames, Mode mode,
                                std::uint64_t seed)
     : totalFrames_(total_frames), mode_(mode)
 {
-    if (mode_ == Mode::Fragmented) {
-        // Pre-shuffle a window of frames; extend lazily in blocks so a
-        // 64 GB memory does not need a 16M-entry shuffle up front.
-        (void)seed;
+    // Fragmented mode shuffles frames lazily, one block at a time, so
+    // a 64 GB memory does not need a 16M-entry shuffle up front.
+    if (mode_ == Mode::Fragmented)
         rngSeed_ = seed;
-    }
 }
 
 Addr
@@ -67,11 +65,18 @@ VirtualMemory::alloc(std::uint64_t bytes, std::uint64_t align)
 void
 VirtualMemory::ensureMapped(Addr vaddr, std::uint64_t bytes)
 {
-    const Addr first = pageNumber(vaddr);
-    const Addr last = pageNumber(vaddr + bytes - 1);
-    for (Addr vpn = first; vpn <= last; ++vpn) {
-        if (!pageTable_.lookup(vpn))
-            pageTable_.map(vpn, frames_.allocate());
+    // The heap only grows, so every page below the watermark
+    // (heapPages_.size()) is mapped already, or was skipped by an
+    // over-page alignment and stays a hole.
+    const Addr heapVpn = pageNumber(kHeapBase);
+    const Addr first = pageNumber(vaddr) - heapVpn;
+    const Addr last = pageNumber(vaddr + bytes - 1) - heapVpn;
+    if (heapPages_.size() < first)
+        heapPages_.resize(first);
+    for (Addr i = heapPages_.size(); i <= last; ++i) {
+        const Addr pfn = frames_.allocate();
+        pageTable_.map(heapVpn + i, pfn);
+        heapPages_.push_back({pfn, memory_.frameBytes(pfn)});
     }
 }
 
@@ -86,6 +91,8 @@ VirtualMemory::translate(Addr vaddr) const
 std::optional<Addr>
 VirtualMemory::tryTranslate(Addr vaddr) const
 {
+    if (const HeapPage* page = heapPage(vaddr))
+        return page->pfn * kPageBytes + pageOffset(vaddr);
     auto pfn = pageTable_.lookup(pageNumber(vaddr));
     if (!pfn)
         return std::nullopt;
@@ -100,7 +107,10 @@ VirtualMemory::readBytes(Addr vaddr, void* out, std::size_t len) const
         const std::uint32_t off = pageOffset(vaddr);
         const std::size_t chunk =
             std::min<std::size_t>(len, kPageBytes - off);
-        memory_.read(translate(vaddr), dst, chunk);
+        if (const std::uint8_t* host = hostBytes(vaddr, chunk))
+            std::memcpy(dst, host, chunk);
+        else
+            memory_.read(translate(vaddr), dst, chunk);
         dst += chunk;
         vaddr += chunk;
         len -= chunk;
@@ -115,7 +125,10 @@ VirtualMemory::writeBytes(Addr vaddr, const void* src, std::size_t len)
         const std::uint32_t off = pageOffset(vaddr);
         const std::size_t chunk =
             std::min<std::size_t>(len, kPageBytes - off);
-        memory_.write(translate(vaddr), from, chunk);
+        if (std::uint8_t* host = hostBytes(vaddr, chunk))
+            std::memcpy(host, from, chunk);
+        else
+            memory_.write(translate(vaddr), from, chunk);
         from += chunk;
         vaddr += chunk;
         len -= chunk;

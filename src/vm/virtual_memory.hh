@@ -15,6 +15,7 @@
 #define QEI_VM_VIRTUAL_MEMORY_HH
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -189,7 +190,10 @@ class VirtualMemory : public SimObject
     {
         static_assert(std::is_trivially_copyable_v<T>);
         T value;
-        readBytes(vaddr, &value, sizeof(T));
+        if (const std::uint8_t* host = hostBytes(vaddr, sizeof(T)))
+            std::memcpy(&value, host, sizeof(T));
+        else
+            readBytes(vaddr, &value, sizeof(T));
         return value;
     }
 
@@ -198,7 +202,10 @@ class VirtualMemory : public SimObject
     write(Addr vaddr, const T& value)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        writeBytes(vaddr, &value, sizeof(T));
+        if (std::uint8_t* host = hostBytes(vaddr, sizeof(T)))
+            std::memcpy(host, &value, sizeof(T));
+        else
+            writeBytes(vaddr, &value, sizeof(T));
     }
 
     const PageTable& pageTable() const { return pageTable_; }
@@ -210,10 +217,54 @@ class VirtualMemory : public SimObject
     static constexpr Addr kHeapBase = 0x10000000ULL;
 
   private:
+    /** A mapped heap page: its frame and that frame's host bytes. */
+    struct HeapPage
+    {
+        Addr pfn = 0;
+        std::uint8_t* bytes = nullptr; ///< nullptr: never mapped
+    };
+
+    /**
+     * The resolved heap page holding @p vaddr, or nullptr when the
+     * page is outside the index (below kHeapBase, past the mapped
+     * watermark, or skipped by an over-page alignment). Addresses
+     * below the heap wrap around to a huge index.
+     */
+    const HeapPage*
+    heapPage(Addr vaddr) const
+    {
+        const Addr i = pageNumber(vaddr - kHeapBase);
+        if (i >= heapPages_.size() || heapPages_[i].bytes == nullptr)
+            return nullptr;
+        return &heapPages_[i];
+    }
+
+    /**
+     * Host pointer to [@p vaddr, +@p len) when the range lies in one
+     * resolved heap page; nullptr sends the caller to the page-table
+     * path, which also owns the "unmapped" panic.
+     */
+    std::uint8_t*
+    hostBytes(Addr vaddr, std::size_t len) const
+    {
+        const std::uint32_t off = pageOffset(vaddr);
+        if (off + len > kPageBytes)
+            return nullptr;
+        const HeapPage* page = heapPage(vaddr);
+        return page == nullptr ? nullptr : page->bytes + off;
+    }
+
     void ensureMapped(Addr vaddr, std::uint64_t bytes);
 
     SimMemory& memory_;
+    /**
+     * The record of every mapping. Its iteration order feeds LLC and
+     * fallback-core warm-up (entries()), so it stays the source of
+     * truth; heapPages_ only caches the same mappings for host access.
+     */
     PageTable pageTable_;
+    /** Heap page vpn - kHeapBase/kPageBytes -> frame and host bytes. */
+    std::vector<HeapPage> heapPages_;
     FrameAllocator frames_;
     Addr brk_ = kHeapBase;
     mutable Counter pageWalks_;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
+#include <functional>
 #include <map>
 
 #include "ds/bst.hh"
@@ -67,6 +70,23 @@ checkAgainstReference(
             EXPECT_EQ(trace.resultValue, it->second);
         EXPECT_FALSE(trace.touches.empty());
     }
+}
+
+/** Run @p fn to completion on a thread with a @p stack_bytes stack. */
+void
+runOnSmallStack(std::function<void()> fn, std::size_t stack_bytes)
+{
+    pthread_attr_t attr;
+    ASSERT_EQ(pthread_attr_init(&attr), 0);
+    ASSERT_EQ(pthread_attr_setstacksize(&attr, stack_bytes), 0);
+    pthread_t thread;
+    auto trampoline = [](void* arg) -> void* {
+        (*static_cast<std::function<void()>*>(arg))();
+        return nullptr;
+    };
+    ASSERT_EQ(pthread_create(&thread, &attr, trampoline, &fn), 0);
+    ASSERT_EQ(pthread_join(thread, nullptr), 0);
+    pthread_attr_destroy(&attr);
 }
 
 } // namespace
@@ -153,6 +173,55 @@ TEST(Bst, OverwriteUpdatesValue)
     const QueryTrace t = bst.query(items.front().first);
     EXPECT_TRUE(t.found);
     EXPECT_EQ(t.resultValue, 9999u);
+}
+
+TEST(Bst, SortedInputDoesNotRecursePerLevel)
+{
+    // Sorted keys degenerate the tree into a chain as deep as it is
+    // long. Build and measure it on a 64 KB stack: code that recursed
+    // once per level would overflow it a few thousand levels down.
+    constexpr std::uint64_t kItems = 4000;
+    auto keyOf = [](std::uint64_t n) {
+        Key key(8);
+        for (int b = 0; b < 8; ++b)
+            key[b] = static_cast<std::uint8_t>(n >> (56 - 8 * b));
+        return key;
+    };
+    std::vector<std::pair<Key, std::uint64_t>> items;
+    for (std::uint64_t i = 0; i < kItems; ++i)
+        items.emplace_back(keyOf(2 * i), 100 + i); // even keys only
+
+    // First, middle and last nodes, past the end, and an odd key.
+    const std::uint64_t probes[] = {0, 2 * (kItems / 2), 2 * (kItems - 1),
+                                    2 * kItems, 15};
+
+    DsFixture f;
+    double depth = 0;
+    std::vector<QueryTrace> traces;
+    runOnSmallStack(
+        [&] {
+            SimBst bst(f.vm, items);
+            depth = bst.averageDepth();
+            for (const std::uint64_t n : probes)
+                traces.push_back(bst.query(keyOf(n)));
+        },
+        64 << 10);
+
+    // Node i sits at depth i + 1.
+    EXPECT_DOUBLE_EQ(depth, (kItems + 1) / 2.0);
+    ASSERT_EQ(traces.size(), 5u);
+    EXPECT_TRUE(traces[0].found);
+    EXPECT_EQ(traces[0].resultValue, 100u);
+    EXPECT_EQ(traces[0].touches.size(), 1u);
+    EXPECT_TRUE(traces[1].found);
+    EXPECT_EQ(traces[1].resultValue, 100 + kItems / 2);
+    EXPECT_TRUE(traces[2].found);
+    EXPECT_EQ(traces[2].resultValue, 100 + kItems - 1);
+    EXPECT_EQ(traces[2].touches.size(), kItems);
+    EXPECT_FALSE(traces[3].found);
+    EXPECT_EQ(traces[3].touches.size(), kItems);
+    EXPECT_FALSE(traces[4].found); // visits 0, 2, ..., 16
+    EXPECT_EQ(traces[4].touches.size(), 9u);
 }
 
 TEST(SkipList, HeaderPublishesForwardBase)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/hash.hh"
 #include "workloads/dpdk_fib.hh"
 #include "workloads/flann_lsh.hh"
 #include "workloads/jvm_gc.hh"
@@ -148,5 +151,59 @@ TEST(Workloads, PreparedStreamsAreDeterministic)
     for (std::size_t i = 0; i < pa.jobs.size(); ++i) {
         EXPECT_EQ(pa.jobs[i].expectFound, pb.jobs[i].expectFound);
         EXPECT_EQ(pa.jobs[i].expectValue, pb.jobs[i].expectValue);
+    }
+}
+
+namespace {
+
+/**
+ * FNV-1a digest of a world's memory image: every mapped page's vpn and
+ * bytes, in sorted-vpn order, so the digest does not depend on the
+ * page table's iteration order.
+ */
+std::uint64_t
+memoryImageDigest(const World& world)
+{
+    std::vector<Addr> vpns;
+    for (const auto& [vpn, pfn] : world.vm.pageTable().entries()) {
+        (void)pfn;
+        vpns.push_back(vpn);
+    }
+    std::sort(vpns.begin(), vpns.end());
+    std::vector<std::uint64_t> pages;
+    std::vector<std::uint8_t> bytes(kPageBytes);
+    for (const Addr vpn : vpns) {
+        world.vm.readBytes(vpn * kPageBytes, bytes.data(), bytes.size());
+        pages.push_back(vpn);
+        pages.push_back(fnv1a64(bytes.data(), bytes.size()));
+    }
+    return fnv1a64(pages.data(), pages.size() * sizeof(pages[0]));
+}
+
+} // namespace
+
+TEST(Workloads, BuiltMemoryImageIsPinned)
+{
+    // Each paper-size workload built and prepared at seed 1. The
+    // figures and the benchmark digests rest on this exact image, so a
+    // builder change that moves one byte, page or allocation of the
+    // simulated heap must show up here.
+    const std::vector<std::pair<std::string, std::uint64_t>> golden = {
+        {"dpdk", 0xb056b85775f7309bULL},
+        {"jvm", 0xdef310450b48e82aULL},
+        {"rocksdb", 0xba2cd47bf69102aaULL},
+        {"snort", 0x41b15ed2939ce7fbULL},
+        {"flann", 0x76e4650a797ca0c9ULL},
+    };
+    const auto all = makeAllWorkloads();
+    ASSERT_EQ(all.size(), golden.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        World world(1);
+        all[i]->build(world);
+        all[i]->prepare(world, 256);
+        const std::uint64_t digest = memoryImageDigest(world);
+        EXPECT_EQ(all[i]->name(), golden[i].first);
+        EXPECT_EQ(digest, golden[i].second)
+            << all[i]->name() << " image digest " << std::hex << digest;
     }
 }
