@@ -41,8 +41,6 @@ class SimBst
     double averageDepth() const;
 
   private:
-    void insert(const Key& key, std::uint64_t value);
-
     VirtualMemory& vm_;
     Addr headerAddr_ = kNullAddr;
     Addr root_ = kNullAddr;

@@ -13,8 +13,6 @@
 #define QEI_DS_TRIE_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,16 +52,6 @@ class SimTrie
     Addr stageInput(const std::vector<std::uint8_t>& input);
 
   private:
-    struct BuildNode
-    {
-        std::map<std::uint8_t, std::unique_ptr<BuildNode>> children;
-        BuildNode* fail = nullptr;
-        std::uint16_t outputs = 0; ///< keywords ending here (+via fail)
-        Addr addr = kNullAddr;
-    };
-
-    Addr serialise(BuildNode& node);
-
     VirtualMemory& vm_;
     Addr root_ = kNullAddr;
     std::size_t nodeCount_ = 0;

@@ -6,8 +6,11 @@
 
 #include <pthread.h>
 
+#include <algorithm>
+#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 
 #include "ds/bst.hh"
 #include "ds/chained_hash.hh"
@@ -17,6 +20,7 @@
 #include "ds/skip_list.hh"
 #include "ds/trie.hh"
 #include "ds/tuple_space.hh"
+#include "workloads/workload.hh"
 
 using namespace qei;
 
@@ -87,6 +91,209 @@ runOnSmallStack(std::function<void()> fn, std::size_t stack_bytes)
     ASSERT_EQ(pthread_create(&thread, &attr, trampoline, &fn), 0);
     ASSERT_EQ(pthread_join(thread, nullptr), 0);
     pthread_attr_destroy(&attr);
+}
+
+/**
+ * Reference BST builder: every insert descends the simulated heap and
+ * writes the new node and its parent link in place. SimBst computes the
+ * same tree on host arrays; the two must leave identical heaps.
+ * @return the header address.
+ */
+Addr
+buildReferenceBst(VirtualMemory& vm,
+                  const std::vector<std::pair<Key, std::uint64_t>>& items)
+{
+    const auto keyLen =
+        static_cast<std::uint32_t>(items.front().first.size());
+    const std::uint64_t nodeBytes = 24 + pad8(keyLen);
+    const std::uint64_t align =
+        nodeBytes <= kCacheLineBytes ? kCacheLineBytes : 8;
+    Addr root = kNullAddr;
+    Key stored(keyLen);
+    for (const auto& [key, value] : items) {
+        Addr link = kNullAddr;
+        Addr node = root;
+        for (; node != kNullAddr; node = vm.read<std::uint64_t>(link)) {
+            vm.readBytes(node + 24, stored.data(), keyLen);
+            const int c = compareKeys(stored, key);
+            if (c == 0)
+                break;
+            link = node + (c < 0 ? 8 : 0);
+        }
+        if (node != kNullAddr) {
+            vm.write<std::uint64_t>(node + 16, value);
+            continue;
+        }
+        const Addr fresh = vm.alloc(nodeBytes, align);
+        vm.write<std::uint64_t>(fresh + 0, kNullAddr);
+        vm.write<std::uint64_t>(fresh + 8, kNullAddr);
+        vm.write<std::uint64_t>(fresh + 16, value);
+        storeKey(vm, fresh + 24, key);
+        if (link == kNullAddr)
+            root = fresh;
+        else
+            vm.write<std::uint64_t>(link, fresh);
+    }
+    const Addr headerAddr = vm.allocLines(kCacheLineBytes);
+    StructHeader h;
+    h.root = root;
+    h.type = StructType::BinaryTree;
+    h.keyLen = static_cast<std::uint16_t>(keyLen);
+    h.flags = kFlagInlineKey | kFlagRemoteCompareOk;
+    h.size = items.size();
+    h.writeTo(vm, headerAddr);
+    return headerAddr;
+}
+
+/**
+ * Reference Aho-Corasick builder: a std::map-per-node pointer trie,
+ * BFS fail links, then every node allocated in BFS order and written
+ * field by field. SimTrie computes the same automaton on flat arrays.
+ */
+struct ReferenceTrie
+{
+    Addr root = kNullAddr;
+    std::size_t nodeCount = 0;
+};
+
+ReferenceTrie
+buildReferenceTrie(VirtualMemory& vm,
+                   const std::vector<std::string>& keywords)
+{
+    struct Node
+    {
+        std::map<std::uint8_t, std::unique_ptr<Node>> children;
+        Node* fail = nullptr;
+        std::uint16_t outputs = 0;
+        Addr addr = kNullAddr;
+    };
+    auto root = std::make_unique<Node>();
+    for (const auto& word : keywords) {
+        Node* node = root.get();
+        for (char ch : word) {
+            auto& child = node->children[static_cast<std::uint8_t>(ch)];
+            if (!child)
+                child = std::make_unique<Node>();
+            node = child.get();
+        }
+        ++node->outputs;
+    }
+
+    std::deque<Node*> queue;
+    root->fail = root.get();
+    for (auto& [byte, child] : root->children) {
+        (void)byte;
+        child->fail = root.get();
+        queue.push_back(child.get());
+    }
+    while (!queue.empty()) {
+        Node* node = queue.front();
+        queue.pop_front();
+        node->outputs =
+            static_cast<std::uint16_t>(node->outputs + node->fail->outputs);
+        for (auto& [byte, child] : node->children) {
+            Node* f = node->fail;
+            while (f != root.get() && !f->children.contains(byte))
+                f = f->fail;
+            auto it = f->children.find(byte);
+            child->fail = (it != f->children.end() &&
+                           it->second.get() != child.get())
+                              ? it->second.get()
+                              : root.get();
+            queue.push_back(child.get());
+        }
+    }
+
+    ReferenceTrie out;
+    std::vector<Node*> order;
+    std::deque<Node*> walk{root.get()};
+    while (!walk.empty()) {
+        Node* node = walk.front();
+        walk.pop_front();
+        order.push_back(node);
+        node->addr = vm.alloc(16 + node->children.size() * 8ULL, 8);
+        for (auto& [byte, child] : node->children) {
+            (void)byte;
+            walk.push_back(child.get());
+        }
+    }
+    for (Node* node : order) {
+        vm.write<std::uint16_t>(
+            node->addr + 0,
+            static_cast<std::uint16_t>(node->children.size()));
+        vm.write<std::uint16_t>(node->addr + 2, node->outputs);
+        vm.write<std::uint32_t>(node->addr + 4, 0);
+        vm.write<std::uint64_t>(node->addr + 8, node->fail->addr);
+        std::size_t i = 0;
+        for (const auto& [byte, child] : node->children) {
+            std::uint64_t entry =
+                child->addr | (static_cast<std::uint64_t>(byte) << 56);
+            if (child->outputs > 0)
+                entry |= 1ULL << 55;
+            vm.write<std::uint64_t>(node->addr + 16 + i * 8, entry);
+            ++i;
+        }
+    }
+    out.root = root->addr;
+    out.nodeCount = order.size();
+    return out;
+}
+
+/**
+ * The two worlds' heaps are identical: the same vpn -> pfn mappings in
+ * the same page-table iteration order (it feeds cache warm-up), and the
+ * same bytes in every mapped page.
+ */
+void
+expectSameHeap(const World& a, const World& b)
+{
+    const std::vector<std::pair<Addr, Addr>> mapA(
+        a.vm.pageTable().entries().begin(),
+        a.vm.pageTable().entries().end());
+    const std::vector<std::pair<Addr, Addr>> mapB(
+        b.vm.pageTable().entries().begin(),
+        b.vm.pageTable().entries().end());
+    ASSERT_EQ(mapA, mapB);
+    EXPECT_EQ(a.vm.bytesAllocated(), b.vm.bytesAllocated());
+    std::vector<std::uint8_t> pageA(kPageBytes);
+    std::vector<std::uint8_t> pageB(kPageBytes);
+    for (const auto& [vpn, pfn] : mapA) {
+        (void)pfn;
+        a.vm.readBytes(vpn * kPageBytes, pageA.data(), kPageBytes);
+        b.vm.readBytes(vpn * kPageBytes, pageB.data(), kPageBytes);
+        ASSERT_EQ(pageA, pageB) << "vpn " << std::hex << vpn;
+    }
+}
+
+/** SimBst and the reference builder leave identical heaps. */
+void
+expectBstMatchesReference(
+    const std::vector<std::pair<Key, std::uint64_t>>& items)
+{
+    World built(3);
+    World reference(3);
+    const SimBst bst(built.vm, items);
+    const Addr refHeader = buildReferenceBst(reference.vm, items);
+    EXPECT_EQ(bst.headerAddr(), refHeader);
+    const StructHeader h = StructHeader::readFrom(reference.vm, refHeader);
+    EXPECT_EQ(bst.rootAddr(), h.root);
+    EXPECT_EQ(bst.keyLen(), h.keyLen);
+    EXPECT_EQ(bst.size(), h.size);
+    expectSameHeap(built, reference);
+}
+
+/** SimTrie and the reference builder leave identical heaps. */
+void
+expectTrieMatchesReference(const std::vector<std::string>& keywords)
+{
+    World built(3);
+    World reference(3);
+    const SimTrie trie(built.vm, keywords);
+    const ReferenceTrie ref = buildReferenceTrie(reference.vm, keywords);
+    EXPECT_EQ(trie.rootAddr(), ref.root);
+    EXPECT_EQ(trie.nodeCount(), ref.nodeCount);
+    EXPECT_EQ(trie.keywordCount(), keywords.size());
+    expectSameHeap(built, reference);
 }
 
 } // namespace
@@ -328,6 +535,115 @@ TEST(Trie, NodeCountGrowsWithDictionary)
     SimTrie small(f.vm, {"a"});
     SimTrie big(f.vm, {"abcdef", "abcxyz", "qrstuv"});
     EXPECT_GT(big.nodeCount(), small.nodeCount());
+}
+
+TEST(BstBuilder, DuplicateKeysKeepTheLastValue)
+{
+    std::vector<std::pair<Key, std::uint64_t>> items;
+    Rng rng(21);
+    for (std::uint64_t i = 0; i < 400; ++i) {
+        Key key(8);
+        for (auto& b : key)
+            b = static_cast<std::uint8_t>(rng.below(2)); // 256 keys
+        items.emplace_back(std::move(key), 1000 + i);
+    }
+    expectBstMatchesReference(items);
+
+    std::map<Key, std::uint64_t> last;
+    for (const auto& [key, value] : items)
+        last[key] = value;
+    DsFixture f;
+    const SimBst bst(f.vm, items);
+    for (const auto& [key, value] : last) {
+        const QueryTrace t = bst.query(key);
+        ASSERT_TRUE(t.found);
+        EXPECT_EQ(t.resultValue, value);
+    }
+}
+
+TEST(BstBuilder, KeyLengthsAndSharedPrefixes)
+{
+    // Half the keys draw their first 8 bytes from {0, 1}, so longer
+    // keys often tie on the 8-byte prefix and order by the rest.
+    for (const std::size_t len : {3, 8, 12, 40}) {
+        std::vector<std::pair<Key, std::uint64_t>> items;
+        Rng rng(31 + len);
+        for (std::uint64_t i = 0; i < 300; ++i) {
+            Key key = randomKey(rng, len);
+            if (i % 2 == 0) {
+                for (std::size_t b = 0; b < std::min<std::size_t>(len, 8);
+                     ++b)
+                    key[b] = static_cast<std::uint8_t>(rng.below(2));
+            }
+            items.emplace_back(std::move(key), 2000 + i);
+        }
+        SCOPED_TRACE("key length " + std::to_string(len));
+        expectBstMatchesReference(items);
+    }
+}
+
+TEST(BstBuilder, SortedInputAndSingleItem)
+{
+    DsFixture f;
+    auto items = f.makeItems(200, 16, 41);
+    std::sort(items.begin(), items.end());
+    expectBstMatchesReference(items);
+    expectBstMatchesReference({{Key{1, 2, 3, 4, 5}, 77}});
+}
+
+TEST(TrieBuilder, MatchesReferenceOnEdgeDictionaries)
+{
+    const std::vector<std::vector<std::string>> dictionaries = {
+        {"ab", "abc", "ab", "b", "abc", "ab"},    // duplicates
+        {"he", "hers", "h", "her"},               // prefixes
+        {"he", "she", "his", "hers", "e", "rs"},  // overlapping suffixes
+        {"\x80\x81", "\xff", "a\xff", "\x7f\x80", "a\x01",
+         std::string("\xfe\x00\xff", 3)}, // bytes >= 0x80, and a NUL
+        {"x"},                                    // one keyword
+        {"a", "aa", "aaaa", "aaa", "aaaaaaa"},    // one-letter alphabet
+    };
+    for (std::size_t i = 0; i < dictionaries.size(); ++i) {
+        SCOPED_TRACE("dictionary " + std::to_string(i));
+        expectTrieMatchesReference(dictionaries[i]);
+    }
+}
+
+TEST(TrieBuilder, MatchesReferenceOnRandomDictionary)
+{
+    // A small alphabet with high bytes makes deep shared prefixes,
+    // long fail chains and repeated words.
+    const char alphabet[] = {'a', 'b', '\x80', '\xff'};
+    Rng rng(51);
+    std::vector<std::string> words;
+    for (int i = 0; i < 600; ++i) {
+        std::string word(1 + rng.below(7), ' ');
+        for (char& c : word)
+            c = alphabet[rng.below(4)];
+        words.push_back(std::move(word));
+    }
+    expectTrieMatchesReference(words);
+}
+
+TEST(TrieBuilderDeathTest, OutputCountOverflowIsRejected)
+{
+    // Node outputs are 16 bits in the node layout; more keywords ending
+    // at (or accumulating through the fail chain into) one node must
+    // not wrap to a wrong match count.
+    const std::vector<std::string> direct(65536, "a");
+    EXPECT_DEATH(
+        {
+            DsFixture f;
+            SimTrie trie(f.vm, direct);
+        },
+        "matches 65536 keywords");
+    std::vector<std::string> chained(40000, "a");
+    chained.insert(chained.end(), 30000, "ba");
+    EXPECT_DEATH(
+        {
+            DsFixture f;
+            SimTrie trie(f.vm, chained);
+        },
+        "matches 70000 keywords");
 }
 
 TEST(TupleSpace, ClassifiesAcrossTuples)

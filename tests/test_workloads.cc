@@ -180,6 +180,29 @@ memoryImageDigest(const World& world)
     return fnv1a64(pages.data(), pages.size() * sizeof(pages[0]));
 }
 
+/**
+ * Build and prepare each paper-size workload at @p seed and compare its
+ * memory image digest with @p golden (name, digest), in registry order.
+ */
+void
+expectPinnedImages(
+    std::uint64_t seed,
+    const std::vector<std::pair<std::string, std::uint64_t>>& golden)
+{
+    const auto all = makeAllWorkloads();
+    ASSERT_EQ(all.size(), golden.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        World world(seed);
+        all[i]->build(world);
+        all[i]->prepare(world, 256);
+        const std::uint64_t digest = memoryImageDigest(world);
+        EXPECT_EQ(all[i]->name(), golden[i].first);
+        EXPECT_EQ(digest, golden[i].second)
+            << all[i]->name() << " seed " << seed << " image digest "
+            << std::hex << digest;
+    }
+}
+
 } // namespace
 
 TEST(Workloads, BuiltMemoryImageIsPinned)
@@ -188,22 +211,24 @@ TEST(Workloads, BuiltMemoryImageIsPinned)
     // figures and the benchmark digests rest on this exact image, so a
     // builder change that moves one byte, page or allocation of the
     // simulated heap must show up here.
-    const std::vector<std::pair<std::string, std::uint64_t>> golden = {
-        {"dpdk", 0xb056b85775f7309bULL},
-        {"jvm", 0xdef310450b48e82aULL},
-        {"rocksdb", 0xba2cd47bf69102aaULL},
-        {"snort", 0x41b15ed2939ce7fbULL},
-        {"flann", 0x76e4650a797ca0c9ULL},
-    };
-    const auto all = makeAllWorkloads();
-    ASSERT_EQ(all.size(), golden.size());
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        World world(1);
-        all[i]->build(world);
-        all[i]->prepare(world, 256);
-        const std::uint64_t digest = memoryImageDigest(world);
-        EXPECT_EQ(all[i]->name(), golden[i].first);
-        EXPECT_EQ(digest, golden[i].second)
-            << all[i]->name() << " image digest " << std::hex << digest;
-    }
+    expectPinnedImages(1, {
+                              {"dpdk", 0xb056b85775f7309bULL},
+                              {"jvm", 0xdef310450b48e82aULL},
+                              {"rocksdb", 0xba2cd47bf69102aaULL},
+                              {"snort", 0x41b15ed2939ce7fbULL},
+                              {"flann", 0x76e4650a797ca0c9ULL},
+                          });
+}
+
+TEST(Workloads, BuiltMemoryImageIsPinnedOnHeldOutSeed)
+{
+    // Seed 7 is the benchmark's held-out seed; pinning it too keeps a
+    // builder from matching seed 1's inputs by accident.
+    expectPinnedImages(7, {
+                              {"dpdk", 0x626c8f472e5d7e13ULL},
+                              {"jvm", 0x120b06bd5e53eccbULL},
+                              {"rocksdb", 0x949690c8ccdb9090ULL},
+                              {"snort", 0xe5074f0f7f7215d7ULL},
+                              {"flann", 0x6f0067803a60b29bULL},
+                          });
 }
