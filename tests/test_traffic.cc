@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "common/hash.hh"
+#include "fault/fault_config.hh"
 #include "traffic/traffic.hh"
 #include "workloads/dpdk_fib.hh"
 #include "workloads/workload.hh"
@@ -35,10 +38,12 @@ ticksOf(const std::vector<Arrival>& arrivals)
 struct Fixture
 {
     DpdkFibWorkload workload{std::size_t{2048}, std::size_t{512}};
-    World world{17};
+    World world;
     Prepared prep;
 
-    explicit Fixture(std::size_t queries = 200)
+    explicit Fixture(std::size_t queries = 200,
+                     const ChipConfig& chip = defaultChip())
+        : world(17, chip)
     {
         workload.build(world);
         prep = workload.prepare(world, queries);
@@ -239,4 +244,142 @@ TEST(Traffic, OpenLoopSaturationRaisesQueueWait)
     // Arrivals far faster than service vs far slower: queueing theory
     // in one assert.
     EXPECT_GT(p99At(10.0), p99At(5000.0));
+}
+
+namespace {
+
+/** What one pinned run must reproduce exactly. */
+struct PinnedRun
+{
+    Cycles cycles;
+    std::uint64_t checksum;
+    double p50, p99, p999;
+    double maxInFlight;
+    std::uint64_t coreInstructions;
+    std::uint64_t statsFnv;
+};
+
+PinnedRun
+pinOf(const QeiRunStats& s, const std::string& statsJson)
+{
+    return {s.cycles,
+            s.resultChecksum,
+            s.sojourn.p50,
+            s.sojourn.p99,
+            s.sojourn.p999,
+            s.maxInFlightObserved,
+            s.coreInstructions,
+            fnv1a64(statsJson.data(), statsJson.size())};
+}
+
+void
+expectPinned(const std::string& cell, const PinnedRun& got,
+             const PinnedRun& want)
+{
+    EXPECT_EQ(got.cycles, want.cycles) << cell;
+    EXPECT_EQ(got.checksum, want.checksum) << cell;
+    EXPECT_EQ(got.p50, want.p50) << cell;
+    EXPECT_EQ(got.p99, want.p99) << cell;
+    EXPECT_EQ(got.p999, want.p999) << cell;
+    EXPECT_EQ(got.maxInFlight, want.maxInFlight) << cell;
+    EXPECT_EQ(got.coreInstructions, want.coreInstructions) << cell;
+    EXPECT_EQ(got.statsFnv, want.statsFnv) << cell;
+}
+
+} // namespace
+
+TEST(Traffic, OpenLoopAndMultiCoreRunsArePinned)
+{
+    // Constants computed before the open-loop, serving and blocking
+    // loops shared one submit-to-retire kernel: every figure of a
+    // plain (single-tenant, admission None) open-loop run, including
+    // the shape and values of its stats tree, must not move.
+    struct OpenCell
+    {
+        const char* name;
+        std::shared_ptr<traffic::TrafficSource> source;
+        const char* faults;
+        PinnedRun want;
+    };
+    const OpenCell cells[] = {
+        {"poisson", std::make_shared<PoissonOpenLoop>(60.0, 4), "",
+         {16994, 0x9275a651f1fb5de7ULL, 167.81679389312978,
+          250.18181818181819, 278.39999999999964, 8, 4500,
+          0x7c83f94bf56437dfULL}},
+        {"bursty", std::make_shared<Bursty>(60.0, 8.0, 1.0, 4), "",
+         {10835, 0x9275a651f1fb5de7ULL, 194.85714285714286, 640,
+          699.19999999999982, 14, 4500, 0x83b26430a0b5d54fULL}},
+        {"diurnal",
+         std::make_shared<traffic::Diurnal>(60.0, 0.5, 20000.0, 4), "",
+         {15547, 0x9275a651f1fb5de7ULL, 167.25, 250.18181818181819,
+          278.39999999999964, 10, 4500, 0x193ec3e473705856ULL}},
+        {"poisson+faults", std::make_shared<PoissonOpenLoop>(60.0, 4),
+         "pf=0.05,flush=3000,seed=9",
+         {16994, 0x9275a651f1fb5de7ULL, 172.48780487804879,
+          409.60000000000002, 470.39999999999964, 9, 4500,
+          0x5f31a4b5f80074f4ULL}},
+    };
+    for (const OpenCell& c : cells) {
+        ChipConfig chip = defaultChip();
+        chip.faults = parseFaultSpec(c.faults);
+        Fixture f{300, chip};
+        std::string statsJson;
+        const QeiRunStats s =
+            runQei(f.world, f.prep,
+                   DriverConfig(SchemeConfig::chaTlb())
+                       .withTraffic(c.source)
+                       .captureStats(&statsJson));
+        EXPECT_EQ(s.mismatches, 0u) << c.name;
+        if (c.faults[0] != '\0') {
+            EXPECT_GT(s.swFallbacks, 0u) << c.name;
+        }
+        expectPinned(c.name, pinOf(s, statsJson), c.want);
+    }
+
+    // The closed-loop blocking loop, with faults so the software
+    // re-run delays retirement on some queries.
+    {
+        ChipConfig chip = defaultChip();
+        chip.faults = parseFaultSpec("pf=0.05,flush=3000,seed=9");
+        Fixture f{300, chip};
+        std::string statsJson;
+        const QeiRunStats s = runQei(
+            f.world, f.prep,
+            DriverConfig(SchemeConfig::chaTlb()).captureStats(&statsJson));
+        EXPECT_EQ(s.mismatches, 0u);
+        EXPECT_GT(s.swFallbacks, 0u);
+        expectPinned("closed+faults", pinOf(s, statsJson),
+                     {4075, 0x9275a651f1fb5de7ULL, 170.48275862068965,
+                      448, 507.19999999999982, 14, 4500,
+                      0x3b08c672d671f449ULL});
+    }
+
+    // runBlockingMultiCore keeps two deliberate differences from the
+    // single-core loop: its issue gap has no branch-mispredict term
+    // and it reports no in-flight peak. A profile with a mispredict
+    // per op makes the first visible in cycles.
+    const std::pair<int, PinnedRun> multi[] = {
+        {1,
+         {6883, 0x9275a651f1fb5de7ULL, 0, 0, 0, 0, 4500,
+          0xf925f10dd995df4eULL}},
+        {4,
+         {1898, 0x9275a651f1fb5de7ULL, 0, 0, 0, 0, 4500,
+          0xb48988c2004d7758ULL}},
+    };
+    for (const auto& [cores, want] : multi) {
+        Fixture f{300};
+        f.prep.profile.nonQueryMispredictsPerOp = 1;
+        f.world.resetTiming();
+        f.world.warmLlc();
+        QeiSystem system(f.world.chip, f.world.events, f.world.hierarchy,
+                         f.world.vm, f.world.firmware,
+                         SchemeConfig::chaTlb());
+        const QeiRunStats s =
+            system.runBlockingMultiCore(f.prep.jobs, cores, f.prep.profile);
+        EXPECT_EQ(s.mismatches, 0u) << cores << " cores";
+        EXPECT_EQ(s.maxInFlightObserved, 0.0) << cores << " cores";
+        const std::string statsJson = system.dumpStatsJson();
+        expectPinned(std::to_string(cores) + " cores",
+                     pinOf(s, statsJson), want);
+    }
 }
