@@ -104,192 +104,13 @@ Driver::run(const std::vector<QueryJob>& jobs,
                                            config_.pollBatch);
         }
     } else {
-        const std::vector<traffic::Arrival> arrivals =
-            config_.traffic->schedule(jobs.size());
-        bool multiTenant = false;
-        for (const traffic::Arrival& a : arrivals) {
-            if (a.tenant > 0) {
-                multiTenant = true;
-                break;
-            }
-        }
-        // The serving loop is strictly opt-in: plain single-tenant
-        // open-loop runs keep the untouched legacy path (and its
-        // byte-identical artifacts).
-        const bool serving =
-            config_.admission.active() || multiTenant ||
-            config_.topology.params().tenantQuota.active();
-        stats = serving ? runServing(jobs, profile, arrivals)
-                        : runOpenLoop(jobs, profile, arrivals);
+        stats = runServing(jobs, profile,
+                           config_.traffic->schedule(jobs.size()));
     }
     DriverMetrics& m = system_.driverMetrics();
     stats.sojourn = DriverMetrics::digest(m.sojourn());
     stats.queueWait = DriverMetrics::digest(m.queueWait());
     stats.service = DriverMetrics::digest(m.service());
-    return stats;
-}
-
-QeiRunStats
-Driver::runOpenLoop(const std::vector<QueryJob>& jobs,
-                    const RoiProfile& profile,
-                    const std::vector<traffic::Arrival>& arrivals)
-{
-    QeiRunStats stats;
-    stats.queries = jobs.size();
-    system_.breakdown_.reset();
-    system_.driverStats_->reset();
-    if (jobs.empty()) {
-        system_.fillBreakdownStats(stats);
-        return stats;
-    }
-    simAssert(arrivals.size() == jobs.size(),
-              "traffic source scheduled {} arrivals for {} jobs",
-              arrivals.size(), jobs.size());
-
-    EventQueue& events = system_.events_;
-    const int core = config_.core;
-
-    // The serving core dispatches one query per window of surrounding
-    // work, with the same issue-gap and in-flight window model as the
-    // closed-loop blocking path (Sec. VII-A).
-    const std::uint32_t windowInstr = profile.nonQueryInstrPerOp + 1;
-    const int robLimit = std::max(
-        1, system_.chip_.core.robEntries /
-               static_cast<int>(windowInstr));
-    const int maxInflight =
-        std::min(robLimit, system_.chip_.core.loadQueueEntries);
-    const double issueGap =
-        static_cast<double>(profile.nonQueryInstrPerOp) /
-            system_.chip_.core.issueWidth +
-        profile.frontendStallPerInstr * windowInstr +
-        static_cast<double>(profile.nonQueryMispredictsPerOp) *
-            static_cast<double>(
-                system_.chip_.core.branchMispredictPenalty);
-
-    // Arrivals wait here until the head-of-queue query finds both a
-    // free in-flight slot and QST capacity on its target accelerator
-    // (FIFO admission — no reordering around a blocked head).
-    struct Pending
-    {
-        std::size_t jobIdx;
-        Cycles arrivedAt;
-    };
-    std::deque<Pending> pendingQ;
-    std::size_t issued = 0;
-    int inflight = 0;
-    double fetchTime = 0.0;
-    Cycles lastRetire = 0;
-    double inflightPeak = 0.0;
-    std::vector<int> reserved(system_.accels_.size(), 0);
-
-    std::function<void()> pump = [&]() {
-        while (!pendingQ.empty() && inflight < maxInflight) {
-            const Pending head = pendingQ.front();
-            const QueryJob& job = jobs[head.jobIdx];
-            Accelerator& target =
-                system_.acceleratorFor(job.keyAddr, core);
-            if (reserved[static_cast<std::size_t>(target.id())] >=
-                target.params().qstEntries)
-                break; // software waits for a slot
-
-            fetchTime = std::max(fetchTime,
-                                 static_cast<double>(events.now()));
-            fetchTime += issueGap;
-            stats.coreInstructions += windowInstr;
-
-            const Cycles issueAt = static_cast<Cycles>(fetchTime);
-            const Cycles queueWait =
-                issueAt > head.arrivedAt ? issueAt - head.arrivedAt
-                                         : 0;
-            const Cycles submitAt =
-                issueAt + system_.submitLatency(core, target, issueAt);
-            const std::size_t jobIdx = head.jobIdx;
-
-            pendingQ.pop_front();
-            ++issued;
-            ++inflight;
-            ++reserved[static_cast<std::size_t>(target.id())];
-            inflightPeak =
-                std::max(inflightPeak, static_cast<double>(inflight));
-
-            events.scheduleAt(submitAt, [this, &events, &target, &jobs,
-                                         jobIdx, core, &stats,
-                                         &inflight, &lastRetire,
-                                         &reserved, &pump, issueAt,
-                                         queueWait]() {
-                const QueryJob& j = jobs[jobIdx];
-                const int slot = target.enqueue(
-                    j.headerAddr, j.keyAddr, kNullAddr,
-                    QueryMode::Blocking, jobIdx,
-                    [this, &events, &target, &jobs, jobIdx, core,
-                     &stats, &inflight, &lastRetire, &reserved, &pump,
-                     issueAt, queueWait](const QstEntry& raw) {
-                        QstEntry entry = raw;
-                        const Cycles sw = system_.recoverInSoftware(
-                            entry, jobs[jobIdx]);
-                        const auto finish = [this, &events, &target,
-                                             &jobs, jobIdx, core,
-                                             &stats, &inflight,
-                                             &lastRetire, &reserved,
-                                             &pump, issueAt, queueWait,
-                                             entry]() {
-                            const Cycles now = events.now();
-                            const Cycles respLat =
-                                system_.responseLatency(core, target,
-                                                        now);
-                            lastRetire =
-                                std::max(lastRetire, now + respLat);
-                            system_.recordCompletion(entry, issueAt,
-                                                     respLat,
-                                                     queueWait);
-                            if (!QeiSystem::matchesExpectation(
-                                    entry, jobs[jobIdx]))
-                                ++stats.mismatches;
-                            stats.resultChecksum ^=
-                                QeiSystem::resultDigest(entry);
-                            --inflight;
-                            --reserved[static_cast<std::size_t>(
-                                target.id())];
-                            pump();
-                        };
-                        if (sw > 0)
-                            events.schedule(sw, finish);
-                        else
-                            finish();
-                    });
-                simAssert(slot >= 0,
-                          "QST overflow despite software tracking");
-            });
-        }
-    };
-
-    // Pre-schedule the whole arrival timeline; each arrival joins the
-    // software queue and kicks the pump.
-    events.reserve(events.pending() + arrivals.size());
-    for (const traffic::Arrival& a : arrivals) {
-        simAssert(a.queryIndex < jobs.size(),
-                  "arrival references job {} of {}", a.queryIndex,
-                  jobs.size());
-        events.scheduleAt(a.tick, [&pendingQ, &pump, a]() {
-            pendingQ.push_back(Pending{a.queryIndex, a.tick});
-            pump();
-        });
-    }
-
-    const QeiSystem::FaultCounters before = system_.faultCountersNow();
-    system_.armFaultDaemons();
-    events.run();
-    simAssert(issued == jobs.size() && inflight == 0 &&
-                  pendingQ.empty(),
-              "open-loop run stalled: {}/{} issued, {} in flight, {} "
-              "queued",
-              issued, jobs.size(), inflight, pendingQ.size());
-
-    stats.cycles = lastRetire;
-    system_.collectAccelStats(stats);
-    stats.maxInFlightObserved = inflightPeak;
-    system_.fillBreakdownStats(stats);
-    system_.fillFaultStats(stats, before);
     return stats;
 }
 
@@ -313,7 +134,14 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
     int tenants = 1;
     for (const traffic::Arrival& a : arrivals)
         tenants = std::max(tenants, a.tenant + 1);
-    system_.driverStats_->ensureTenants(tenants);
+    const TenantQuota& quota = config_.topology.params().tenantQuota;
+    // Tenant and admission accounting is opt-in: a plain single-tenant
+    // open-loop run publishes none of it, so its stats tree and
+    // artifacts keep their historical shape.
+    const bool reportTenants =
+        config_.admission.active() || tenants > 1 || quota.active();
+    if (reportTenants)
+        system_.driverStats_->ensureTenants(tenants);
 
     AdmissionController* admission = system_.admission();
     const bool degrade = admission != nullptr &&
@@ -324,23 +152,9 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
 
     EventQueue& events = system_.events_;
     const int core = config_.core;
-    const TenantQuota& quota = config_.topology.params().tenantQuota;
     const bool quotaOn = quota.active() && tenants > 1;
-
-    // Same issue-gap and in-flight window model as runOpenLoop.
-    const std::uint32_t windowInstr = profile.nonQueryInstrPerOp + 1;
-    const int robLimit = std::max(
-        1, system_.chip_.core.robEntries /
-               static_cast<int>(windowInstr));
-    const int maxInflight =
-        std::min(robLimit, system_.chip_.core.loadQueueEntries);
-    const double issueGap =
-        static_cast<double>(profile.nonQueryInstrPerOp) /
-            system_.chip_.core.issueWidth +
-        profile.frontendStallPerInstr * windowInstr +
-        static_cast<double>(profile.nonQueryMispredictsPerOp) *
-            static_cast<double>(
-                system_.chip_.core.branchMispredictPenalty);
+    const QeiSystem::BlockingWindow window =
+        system_.blockingWindow(profile);
 
     struct Pending
     {
@@ -353,6 +167,7 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
     std::size_t pendingTotal = 0;
     std::size_t issued = 0;
     std::uint64_t shedCount = 0;
+    std::uint64_t admittedChecksum = 0;
     int inflight = 0;
     int degradedInFlight = 0;
     double fetchTime = 0.0;
@@ -385,7 +200,7 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
     // guaranteed pass, its quota share) allows. Returns true on issue.
     auto tryIssue = [&](int t, bool allowBorrow) -> bool {
         auto& q = pend[static_cast<std::size_t>(t)];
-        if (q.empty() || inflight >= maxInflight)
+        if (q.empty() || inflight >= window.maxInflight)
             return false;
         const Pending head = q.front();
         const QueryJob& job = jobs[head.jobIdx];
@@ -408,15 +223,12 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
 
         fetchTime = std::max(fetchTime,
                              static_cast<double>(events.now()));
-        fetchTime += issueGap;
-        stats.coreInstructions += windowInstr;
+        fetchTime += window.issueGap;
+        stats.coreInstructions += window.instr;
 
         const Cycles issueAt = static_cast<Cycles>(fetchTime);
         const Cycles queueWait =
             issueAt > head.arrivedAt ? issueAt - head.arrivedAt : 0;
-        const Cycles submitAt =
-            issueAt + system_.submitLatency(core, target, issueAt);
-        const std::size_t jobIdx = head.jobIdx;
 
         q.pop_front();
         --pendingTotal;
@@ -431,74 +243,27 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
             ts->occupancy().sample(static_cast<double>(
                 tenantInflight[static_cast<std::size_t>(t)]));
 
-        events.scheduleAt(submitAt, [this, &events, &target, &jobs,
-                                     jobIdx, t, slotIdx, core, &stats,
-                                     &inflight, &lastRetire, &reserved,
-                                     &reservedTenant, &tenantInflight,
-                                     &pump, admission, issueAt,
-                                     queueWait]() {
-            const QueryJob& j = jobs[jobIdx];
-            const int slot = target.enqueue(
-                j.headerAddr, j.keyAddr, kNullAddr,
-                QueryMode::Blocking, jobIdx,
-                [this, &events, &target, &jobs, jobIdx, t, slotIdx,
-                 core, &stats, &inflight, &lastRetire, &reserved,
-                 &reservedTenant, &tenantInflight, &pump, admission,
-                 issueAt, queueWait](const QstEntry& raw) {
-                    QstEntry entry = raw;
-                    const Cycles sw = system_.recoverInSoftware(
-                        entry, jobs[jobIdx]);
-                    const auto finish = [this, &events, &target, &jobs,
-                                         jobIdx, t, slotIdx, core,
-                                         &stats, &inflight,
-                                         &lastRetire, &reserved,
-                                         &reservedTenant,
-                                         &tenantInflight, &pump,
-                                         admission, issueAt, queueWait,
-                                         entry]() {
-                        const Cycles now = events.now();
-                        const Cycles respLat =
-                            system_.responseLatency(core, target,
-                                                    now);
-                        lastRetire =
-                            std::max(lastRetire, now + respLat);
-                        system_.recordCompletion(entry, issueAt,
-                                                 respLat, queueWait);
-                        if (!QeiSystem::matchesExpectation(
-                                entry, jobs[jobIdx]))
-                            ++stats.mismatches;
-                        const std::uint64_t digest =
-                            QeiSystem::resultDigest(entry);
-                        stats.resultChecksum ^= digest;
-                        stats.admittedChecksum ^= digest;
-                        if (admission != nullptr) {
-                            // Admitted completions only: degraded
-                            // work must not steer the Adaptive
-                            // window, so the admission decision
-                            // stream is identical whether shed
-                            // queries are dropped or degraded.
-                            const Cycles endToEnd =
-                                (now + respLat) - issueAt;
-                            admission->onAdmittedCompletion(
-                                static_cast<double>(queueWait +
-                                                    endToEnd));
-                        }
-                        --inflight;
-                        --reserved[static_cast<std::size_t>(
-                            target.id())];
-                        --reservedTenant[slotIdx];
-                        --tenantInflight[static_cast<std::size_t>(t)];
-                        pump();
-                    };
-                    if (sw > 0)
-                        events.schedule(sw, finish);
-                    else
-                        finish();
-                },
-                t);
-            simAssert(slot >= 0,
-                      "QST overflow despite software tracking");
-        });
+        system_.submitBlocking(
+            target, jobs, head.jobIdx, core, issueAt, queueWait, t,
+            stats,
+            [&, t, aid, slotIdx, issueAt, queueWait](
+                const QstEntry& entry, Cycles retireAt) {
+                lastRetire = std::max(lastRetire, retireAt);
+                admittedChecksum ^= QeiSystem::resultDigest(entry);
+                if (admission != nullptr) {
+                    // Admitted completions only: degraded work must
+                    // not steer the Adaptive window, so the admission
+                    // decision stream is identical whether shed
+                    // queries are dropped or degraded.
+                    admission->onAdmittedCompletion(static_cast<double>(
+                        queueWait + (retireAt - issueAt)));
+                }
+                --inflight;
+                --reserved[aid];
+                --reservedTenant[slotIdx];
+                --tenantInflight[static_cast<std::size_t>(t)];
+                pump();
+            });
         return true;
     };
 
@@ -534,12 +299,16 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
 
     // Arrival timeline: each arrival passes the admission layer, then
     // either joins its tenant's FIFO, degrades to the core path, or is
-    // dropped.
+    // dropped. The schedule must name every job exactly once.
+    std::vector<bool> scheduled(jobs.size(), false);
     events.reserve(events.pending() + arrivals.size());
     for (const traffic::Arrival& a : arrivals) {
         simAssert(a.queryIndex < jobs.size(),
                   "arrival references job {} of {}", a.queryIndex,
                   jobs.size());
+        simAssert(!scheduled[a.queryIndex],
+                  "arrival schedule names job {} twice", a.queryIndex);
+        scheduled[a.queryIndex] = true;
         simAssert(a.tenant >= 0 && a.tenant < tenants,
                   "arrival tenant {} outside [0, {})", a.tenant,
                   tenants);
@@ -548,14 +317,17 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
                                    &shedCount, &degradedInFlight,
                                    &degradeClock, &lastDegradedRetire,
                                    admission, degrade, a]() {
+            // Null unless this run publishes tenant accounting.
             TenantStats* ts =
                 system_.driverStats_->tenantStats(a.tenant);
-            ts->offered().inc();
+            if (ts != nullptr)
+                ts->offered().inc();
             const bool admit =
                 admission == nullptr ||
                 admission->decide(a.tenant, a.tick, pendingTotal);
             if (admit) {
-                ts->admitted().inc();
+                if (ts != nullptr)
+                    ts->admitted().inc();
                 pend[static_cast<std::size_t>(a.tenant)].push_back(
                     Pending{a.queryIndex, a.tick});
                 ++pendingTotal;
@@ -615,13 +387,16 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
               issued, shedCount, jobs.size(), inflight, stillPending,
               degradedInFlight);
 
-    stats.admittedQueries = issued;
     stats.cycles = std::max(lastRetire, lastDegradedRetire);
     system_.collectAccelStats(stats);
     stats.maxInFlightObserved = inflightPeak;
     system_.fillBreakdownStats(stats);
     system_.fillFaultStats(stats, before);
+    if (!reportTenants)
+        return stats;
 
+    stats.admittedQueries = issued;
+    stats.admittedChecksum = admittedChecksum;
     stats.tenants.reserve(static_cast<std::size_t>(tenants));
     for (int t = 0; t < tenants; ++t) {
         TenantStats* ts = system_.driverStats_->tenantStats(t);

@@ -7,10 +7,10 @@
  * struct (topology, query mode, issuing core, poll batch, traffic
  * source). The Driver consumes a traffic::TrafficSource: closed-loop
  * sources delegate to the legacy QeiSystem run loops — bit-identical
- * to the pre-refactor behaviour — while open-loop sources run an
- * event-driven submit loop that queues arrivals against QST capacity
- * and measures per-query sojourn (queue-wait + service) into the
- * system.driver.* histograms.
+ * to the pre-refactor behaviour — while open-loop sources run the
+ * event-driven serving loop, which queues arrivals against QST
+ * capacity and measures per-query sojourn (queue-wait + service) into
+ * the system.driver.* histograms.
  */
 
 #ifndef QEI_QEI_DRIVER_HH
@@ -33,8 +33,8 @@ namespace qei {
 /**
  * Per-tenant serving accounting, adopted as "tenant.<id>" children of
  * DriverMetrics (stats paths system.driver.tenant.<id>.*). Created
- * only by the Driver's multi-tenant serving path, so single-tenant
- * stats dumps are unchanged.
+ * only by serving runs that opt in to tenant accounting, so plain
+ * single-tenant stats dumps are unchanged.
  */
 class TenantStats : public SimObject
 {
@@ -217,13 +217,13 @@ struct DriverConfig
     PlannerConfig planner;
     /**
      * Admission-control parameters (src/qei/admission.hh). The
-     * default policy None constructs no controller and takes none of
-     * the serving-path branches, so historical runs stay
-     * byte-identical. A non-None policy (or a multi-tenant arrival
-     * stream, or an active tenant quota) routes open-loop runs
-     * through the Driver's serving loop: per-tenant pending queues,
-     * quota-aware issue, shedding, and optional shed-to-core
-     * degradation. Requires an open-loop, non-batched source.
+     * default policy None constructs no controller and sheds
+     * nothing, so historical runs stay byte-identical. A non-None
+     * policy (or a multi-tenant arrival stream, or an active tenant
+     * quota) turns on the serving loop's per-tenant accounting:
+     * shedding, optional shed-to-core degradation, and the
+     * system.driver.tenant.* stats. Requires an open-loop,
+     * non-batched source.
      */
     AdmissionConfig admission;
 
@@ -310,8 +310,8 @@ class Driver
     /**
      * Execute @p jobs. Closed-loop (null or ClosedLoop traffic):
      * delegates to QeiSystem::runBlocking / runNonBlocking unchanged.
-     * Open-loop: schedules the source's arrival timeline and submits
-     * from a FIFO software queue as QST capacity and the core's
+     * Open-loop: runServing schedules the source's arrival timeline
+     * and submits blocking queries as QST capacity and the core's
      * in-flight window allow. Either way the returned stats carry the
      * sojourn/queue-wait/service digests.
      */
@@ -319,18 +319,19 @@ class Driver
                     const RoiProfile& profile);
 
   private:
-    QeiRunStats runOpenLoop(const std::vector<QueryJob>& jobs,
-                            const RoiProfile& profile,
-                            const std::vector<traffic::Arrival>& arrivals);
-
     /**
-     * The overload-resilient serving loop: per-tenant pending FIFOs,
-     * admission control per arrival, quota-aware round-robin issue,
-     * and optional shed-to-core degradation. Only taken when the
-     * config opts in (non-None admission policy, a multi-tenant
-     * arrival stream, or an active tenant quota) — the plain
-     * runOpenLoop path above stays untouched, keeping single-tenant
-     * artifacts byte-identical.
+     * The open-loop serving loop, for every open-loop source:
+     * per-tenant pending FIFOs, admission control per arrival,
+     * quota-aware round-robin issue, and optional shed-to-core
+     * degradation. With one tenant, admission None and no tenant
+     * quota it is a single FIFO that admits everything. Tenant and
+     * admission accounting (system.driver.tenant.*,
+     * QeiRunStats::tenants, admittedQueries, admittedChecksum) is
+     * published only when the config opts in (non-None admission
+     * policy, a multi-tenant arrival stream, or an active tenant
+     * quota), so plain single-tenant artifacts keep their shape.
+     * Rejects an arrival schedule that does not name every job
+     * exactly once.
      */
     QeiRunStats runServing(const std::vector<QueryJob>& jobs,
                            const RoiProfile& profile,

@@ -580,8 +580,8 @@ QeiSystem::coreExecutedEntry(const QueryJob& job,
     return entry;
 }
 
-// Shared by the legacy loops below and the Driver's open-loop submit
-// loop (driver.cc), hence members rather than file-local helpers.
+// Shared by the run loops below and the Driver's serving loop
+// (driver.cc), hence members rather than file-local helpers.
 
 /** Gather per-accelerator counters into run stats. */
 void
@@ -634,6 +634,75 @@ QeiSystem::resultDigest(const QstEntry& entry)
     return x;
 }
 
+QeiSystem::BlockingWindow
+QeiSystem::blockingWindow(const RoiProfile& profile) const
+{
+    BlockingWindow w;
+    w.instr = profile.nonQueryInstrPerOp + 1;
+    // A blocking query holds a ROB slot until it retires; with
+    // `instr` instructions between queries the OoO window covers at
+    // most this many outstanding queries (Sec. VII-A).
+    const int robLimit = std::max(
+        1, chip_.core.robEntries / static_cast<int>(w.instr));
+    w.maxInflight = std::min(robLimit, chip_.core.loadQueueEntries);
+    w.fetchGap = static_cast<double>(profile.nonQueryInstrPerOp) /
+                     chip_.core.issueWidth +
+                 profile.frontendStallPerInstr * w.instr;
+    w.issueGap =
+        w.fetchGap +
+        static_cast<double>(profile.nonQueryMispredictsPerOp) *
+            static_cast<double>(chip_.core.branchMispredictPenalty);
+    return w;
+}
+
+void
+QeiSystem::submitBlocking(Accelerator& target,
+                          const std::vector<QueryJob>& jobs,
+                          std::size_t job_idx, int core, Cycles issue_at,
+                          Cycles queue_wait, int tenant,
+                          QeiRunStats& stats, RetireFn on_retire)
+{
+    const Cycles submitAt =
+        issue_at + submitLatency(core, target, issue_at);
+    events_.scheduleAt(submitAt, [this, &target, &jobs, job_idx, core,
+                                  issue_at, queue_wait, tenant, &stats,
+                                  on_retire =
+                                      std::move(on_retire)]() mutable {
+        const QueryJob& j = jobs[job_idx];
+        const int slot = target.enqueue(
+            j.headerAddr, j.keyAddr, kNullAddr, QueryMode::Blocking,
+            job_idx,
+            [this, &target, &jobs, job_idx, core, issue_at, queue_wait,
+             &stats, on_retire = std::move(on_retire)](
+                const QstEntry& raw) mutable {
+                // Faulted or flushed? Re-run in software before the
+                // core sees the retirement.
+                QstEntry entry = raw;
+                const Cycles sw = recoverInSoftware(entry, jobs[job_idx]);
+                auto finish = [this, &target, &jobs, job_idx, core,
+                               issue_at, queue_wait, &stats,
+                               on_retire = std::move(on_retire),
+                               entry]() {
+                    const Cycles now = events_.now();
+                    const Cycles respLat =
+                        responseLatency(core, target, now);
+                    recordCompletion(entry, issue_at, respLat,
+                                     queue_wait);
+                    if (!matchesExpectation(entry, jobs[job_idx]))
+                        ++stats.mismatches;
+                    stats.resultChecksum ^= resultDigest(entry);
+                    on_retire(entry, now + respLat);
+                };
+                if (sw > 0)
+                    events_.schedule(sw, std::move(finish));
+                else
+                    finish();
+            },
+            tenant);
+        simAssert(slot >= 0, "QST overflow despite software tracking");
+    });
+}
+
 QeiRunStats
 QeiSystem::runBlocking(const std::vector<QueryJob>& jobs,
                        int issuing_core, const RoiProfile& profile)
@@ -647,24 +716,7 @@ QeiSystem::runBlocking(const std::vector<QueryJob>& jobs,
         return stats;
     }
 
-    // Instructions the core executes per query: the surrounding
-    // independent work plus the QUERY_B instruction itself.
-    const std::uint32_t windowInstr = profile.nonQueryInstrPerOp + 1;
-    // A blocking query holds a ROB slot until it retires; with
-    // `windowInstr` instructions between queries the OoO window covers
-    // at most this many outstanding queries (Sec. VII-A).
-    const int robLimit = std::max(
-        1, chip_.core.robEntries / static_cast<int>(windowInstr));
-    const int lqLimit = chip_.core.loadQueueEntries;
-    const int maxInflight = std::min(robLimit, lqLimit);
-
-    const double issueGap =
-        static_cast<double>(profile.nonQueryInstrPerOp) /
-            chip_.core.issueWidth +
-        profile.frontendStallPerInstr * windowInstr +
-        static_cast<double>(profile.nonQueryMispredictsPerOp) *
-            static_cast<double>(chip_.core.branchMispredictPenalty);
-
+    const BlockingWindow window = blockingWindow(profile);
     std::size_t nextJob = 0;
     int inflight = 0;
     double fetchTime = 0.0;
@@ -680,7 +732,7 @@ QeiSystem::runBlocking(const std::vector<QueryJob>& jobs,
     // Issue as many queries as the window and the QST allow; resumed
     // from every completion.
     std::function<void()> issueLoop = [&]() {
-        while (nextJob < jobs.size() && inflight < maxInflight) {
+        while (nextJob < jobs.size() && inflight < window.maxInflight) {
             const QueryJob& job = jobs[nextJob];
             if (plannerKeepsOnCore(job)) {
                 // Planned core execution: the core runs the walk
@@ -689,8 +741,8 @@ QeiSystem::runBlocking(const std::vector<QueryJob>& jobs,
                 // retires. No QST slot is touched.
                 fetchTime = std::max(
                     fetchTime, static_cast<double>(events_.now()));
-                fetchTime += issueGap;
-                stats.coreInstructions += windowInstr;
+                fetchTime += window.issueGap;
+                stats.coreInstructions += window.instr;
                 const Cycles issueAt = static_cast<Cycles>(fetchTime);
                 const Cycles sw = coreExecuteCycles(nextJob);
                 fetchTime += static_cast<double>(sw);
@@ -715,73 +767,28 @@ QeiSystem::runBlocking(const std::vector<QueryJob>& jobs,
             }
             Accelerator& target =
                 acceleratorFor(job.keyAddr, issuing_core);
-            if (reserved[static_cast<std::size_t>(target.id())] >=
-                target.params().qstEntries)
+            const auto aid = static_cast<std::size_t>(target.id());
+            if (reserved[aid] >= target.params().qstEntries)
                 break; // software waits for a slot (Sec. IV-A)
 
             fetchTime = std::max(
                 fetchTime, static_cast<double>(events_.now()));
-            fetchTime += issueGap;
-            stats.coreInstructions += windowInstr;
-
-            const Cycles issueAt = static_cast<Cycles>(fetchTime);
-            const Cycles submitAt =
-                issueAt + submitLatency(issuing_core, target, issueAt);
+            fetchTime += window.issueGap;
+            stats.coreInstructions += window.instr;
 
             ++inflight;
-            ++reserved[static_cast<std::size_t>(target.id())];
+            ++reserved[aid];
             inflightPeak =
                 std::max(inflightPeak, static_cast<double>(inflight));
-            const std::size_t jobIdx = nextJob;
-            ++nextJob;
-
-            events_.scheduleAt(submitAt, [this, &target, &jobs, jobIdx,
-                                          issuing_core, &stats,
-                                          &inflight, &lastRetire,
-                                          &reserved, &issueLoop,
-                                          issueAt]() {
-                const QueryJob& j = jobs[jobIdx];
-                const int slot = target.enqueue(
-                    j.headerAddr, j.keyAddr, kNullAddr,
-                    QueryMode::Blocking, jobIdx,
-                    [this, &target, &jobs, jobIdx, issuing_core, &stats,
-                     &inflight, &lastRetire, &reserved, &issueLoop,
-                     issueAt](const QstEntry& raw) {
-                        // Faulted or flushed? Re-run in software
-                        // before the core sees the retirement.
-                        QstEntry entry = raw;
-                        const Cycles sw =
-                            recoverInSoftware(entry, jobs[jobIdx]);
-                        const auto finish = [this, &target, &jobs,
-                                             jobIdx, issuing_core,
-                                             &stats, &inflight,
-                                             &lastRetire, &reserved,
-                                             &issueLoop, issueAt,
-                                             entry]() {
-                            const Cycles now = events_.now();
-                            const Cycles respLat = responseLatency(
-                                issuing_core, target, now);
-                            lastRetire =
-                                std::max(lastRetire, now + respLat);
-                            recordCompletion(entry, issueAt, respLat);
-                            if (!matchesExpectation(entry,
-                                                    jobs[jobIdx]))
-                                ++stats.mismatches;
-                            stats.resultChecksum ^=
-                                resultDigest(entry);
-                            --inflight;
-                            --reserved[static_cast<std::size_t>(
-                                target.id())];
-                            issueLoop();
-                        };
-                        if (sw > 0)
-                            events_.schedule(sw, finish);
-                        else
-                            finish();
-                    });
-                simAssert(slot >= 0,
-                          "QST overflow despite software tracking");
-            });
+            submitBlocking(target, jobs, nextJob++, issuing_core,
+                           static_cast<Cycles>(fetchTime), 0, 0, stats,
+                           [&, aid](const QstEntry&, Cycles retireAt) {
+                               lastRetire =
+                                   std::max(lastRetire, retireAt);
+                               --inflight;
+                               --reserved[aid];
+                               issueLoop();
+                           });
         }
     };
 
@@ -819,15 +826,10 @@ QeiSystem::runBlockingMultiCore(const std::vector<QueryJob>& jobs,
               "{} issuing cores on a {}-core chip", cores,
               memory_.cores());
 
-    const std::uint32_t windowInstr = profile.nonQueryInstrPerOp + 1;
-    const int robLimit = std::max(
-        1, chip_.core.robEntries / static_cast<int>(windowInstr));
-    const int maxInflight =
-        std::min(robLimit, chip_.core.loadQueueEntries);
-    const double issueGap =
-        static_cast<double>(profile.nonQueryInstrPerOp) /
-            chip_.core.issueWidth +
-        profile.frontendStallPerInstr * windowInstr;
+    const BlockingWindow window = blockingWindow(profile);
+    // Unlike runBlocking: no mispredict term and no in-flight peak,
+    // kept so existing multi-core results (abl_multicore) stay put.
+    const double issueGap = window.fetchGap;
 
     // Per-issuing-core state: a private job stream, fetch clock, and
     // in-flight window; all cores share the accelerators and memory
@@ -852,74 +854,35 @@ QeiSystem::runBlockingMultiCore(const std::vector<QueryJob>& jobs,
     std::function<void(int)> issueLoop = [&](int core) {
         CoreState& cs = coreState[static_cast<std::size_t>(core)];
         while (cs.next < cs.jobIdxs.size() &&
-               cs.inflight < maxInflight) {
+               cs.inflight < window.maxInflight) {
             const std::size_t jobIdx = cs.jobIdxs[cs.next];
             const QueryJob& job = jobs[jobIdx];
             Accelerator& target = acceleratorFor(job.keyAddr, core);
-            if (reserved[static_cast<std::size_t>(target.id())] >=
-                target.params().qstEntries)
+            const auto aid = static_cast<std::size_t>(target.id());
+            if (reserved[aid] >= target.params().qstEntries)
                 break;
 
             cs.fetchTime = std::max(
                 cs.fetchTime, static_cast<double>(events_.now()));
             cs.fetchTime += issueGap;
-            stats.coreInstructions += windowInstr;
+            stats.coreInstructions += window.instr;
 
-            const Cycles issueAt = static_cast<Cycles>(cs.fetchTime);
-            const Cycles submitAt =
-                issueAt + submitLatency(core, target, issueAt);
             ++cs.inflight;
-            ++reserved[static_cast<std::size_t>(target.id())];
+            ++reserved[aid];
             ++cs.next;
-
-            events_.scheduleAt(submitAt, [this, &target, &jobs, jobIdx,
-                                          core, &stats, &coreState,
-                                          &lastRetire, &reserved,
-                                          &issueLoop, issueAt]() {
-                const QueryJob& j = jobs[jobIdx];
-                const int slot = target.enqueue(
-                    j.headerAddr, j.keyAddr, kNullAddr,
-                    QueryMode::Blocking, jobIdx,
-                    [this, &target, &jobs, jobIdx, core, &stats,
-                     &coreState, &lastRetire, &reserved, &issueLoop,
-                     issueAt](const QstEntry& raw) {
-                        QstEntry entry = raw;
-                        const Cycles sw =
-                            recoverInSoftware(entry, jobs[jobIdx]);
-                        const auto finish = [this, &target, &jobs,
-                                             jobIdx, core, &stats,
-                                             &coreState, &lastRetire,
-                                             &reserved, &issueLoop,
-                                             issueAt, entry]() {
-                            const Cycles now = events_.now();
-                            const Cycles respLat =
-                                responseLatency(core, target, now);
-                            lastRetire =
-                                std::max(lastRetire, now + respLat);
-                            recordCompletion(entry, issueAt, respLat);
-                            if (!matchesExpectation(entry,
-                                                    jobs[jobIdx]))
-                                ++stats.mismatches;
-                            stats.resultChecksum ^=
-                                resultDigest(entry);
-                            --coreState[static_cast<std::size_t>(core)]
-                                  .inflight;
-                            --reserved[static_cast<std::size_t>(
-                                target.id())];
-                            // A completion can unblock any core
-                            // waiting on this accelerator's QST.
-                            for (std::size_t c = 0;
-                                 c < coreState.size(); ++c)
-                                issueLoop(static_cast<int>(c));
-                        };
-                        if (sw > 0)
-                            events_.schedule(sw, finish);
-                        else
-                            finish();
-                    });
-                simAssert(slot >= 0,
-                          "QST overflow despite software tracking");
-            });
+            submitBlocking(
+                target, jobs, jobIdx, core,
+                static_cast<Cycles>(cs.fetchTime), 0, 0, stats,
+                [&, core, aid](const QstEntry&, Cycles retireAt) {
+                    lastRetire = std::max(lastRetire, retireAt);
+                    --coreState[static_cast<std::size_t>(core)]
+                          .inflight;
+                    --reserved[aid];
+                    // A completion can unblock any core waiting on
+                    // this accelerator's QST.
+                    for (std::size_t c = 0; c < coreState.size(); ++c)
+                        issueLoop(static_cast<int>(c));
+                });
         }
     };
 

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -93,7 +94,8 @@ struct QeiRunStats
     std::uint64_t qstBackoffs = 0;
 
     // -- overload resilience (admission + multi-tenant serving;
-    //    zeros on every path but the Driver's serving loop) --
+    //    zeros unless a Driver serving run opts in to tenant
+    //    accounting) --
     /** Arrivals admitted past the admission layer. */
     std::uint64_t admittedQueries = 0;
     /** Arrivals shed by the admission policy. */
@@ -380,9 +382,50 @@ class QeiSystem : public SimObject
     }
 
   private:
-    /** The open-loop submit loop lives in driver.cc and reuses the
+    /** The open-loop serving loop lives in driver.cc and reuses the
      *  issue/completion plumbing below. */
     friend class Driver;
+
+    /**
+     * The issuing core's window for blocking queries (Sec. VII-A): a
+     * QUERY_B holds a ROB and a load-queue slot until it retires, so
+     * the surrounding work bounds how many are outstanding, and the
+     * core needs fetch (plus mispredict recovery) cycles per query.
+     */
+    struct BlockingWindow
+    {
+        /** Instructions per query: the surrounding work + QUERY_B. */
+        std::uint32_t instr = 0;
+        /** Outstanding queries the ROB and load queue allow. */
+        int maxInflight = 0;
+        /** Issue cycles per query window, without mispredicts. */
+        double fetchGap = 0.0;
+        /** Issue cycles per query window, with mispredict recovery. */
+        double issueGap = 0.0;
+    };
+    BlockingWindow blockingWindow(const RoiProfile& profile) const;
+
+    /** Called when a blocking query retires on the core, with the
+     *  completed entry and the retire tick (response included). */
+    using RetireFn =
+        std::function<void(const QstEntry& entry, Cycles retire_at)>;
+
+    /**
+     * Carry one QUERY_B, issued by @p core at @p issue_at after
+     * @p queue_wait cycles in a software queue, to retirement: it
+     * reaches @p target's Query Queue one submission latency later;
+     * a faulted or flushed completion re-runs in software before the
+     * core sees it (Sec. IV-D); retirement folds the query into the
+     * breakdown, the driver histograms, @p stats' mismatch count and
+     * result checksum, then calls @p on_retire. The caller tracks
+     * QST slots in software (Sec. IV-A), so the enqueue never
+     * overflows.
+     */
+    void submitBlocking(Accelerator& target,
+                        const std::vector<QueryJob>& jobs,
+                        std::size_t job_idx, int core, Cycles issue_at,
+                        Cycles queue_wait, int tenant,
+                        QeiRunStats& stats, RetireFn on_retire);
 
     /** Core->accelerator submission latency at time @p now. */
     Cycles submitLatency(int core, const Accelerator& target,

@@ -260,8 +260,9 @@ TEST(Admission, TenantQuotaGuaranteedSlots)
 TEST(Admission, NonePolicySingleTenantKeepsLegacyArtifacts)
 {
     // The overload layer is strictly opt-in: a default (None)
-    // AdmissionConfig must leave open-loop runs on the legacy path,
-    // with bit-identical results and an unchanged stats-tree shape.
+    // AdmissionConfig must leave open-loop runs publishing no tenant
+    // or admission accounting, with bit-identical results and an
+    // unchanged stats-tree shape.
     auto run = [](bool explicit_default) {
         Fixture f(150);
         std::string statsJson;
@@ -291,9 +292,10 @@ TEST(Admission, NonePolicySingleTenantKeepsLegacyArtifacts)
 
 TEST(Admission, PermissiveServingMatchesLegacyOutcome)
 {
-    // A never-shedding policy routes through the serving loop but
-    // must produce the same functional outcome as the legacy open
-    // loop (the digest is order-independent by construction).
+    // A never-shedding policy turns on the serving loop's admission
+    // accounting but must produce the same functional outcome as
+    // admission None through the same loop (the digest is
+    // order-independent by construction).
     auto traffic = []() {
         return std::make_shared<PoissonOpenLoop>(150.0, /*seed=*/5);
     };
@@ -320,6 +322,41 @@ TEST(Admission, PermissiveServingMatchesLegacyOutcome)
     EXPECT_EQ(after.admittedChecksum, after.resultChecksum);
     ASSERT_EQ(after.tenants.size(), 1u);
     EXPECT_EQ(after.tenants[0].admitted, after.queries);
+}
+
+/** Schedules job 0 twice and never job 1; the rest in order. */
+class RepeatsJobZero : public traffic::TrafficSource
+{
+  public:
+    std::string name() const override { return "repeats-job-zero"; }
+    std::string description() const override { return name(); }
+
+    std::vector<Arrival>
+    schedule(std::size_t count) override
+    {
+        std::vector<Arrival> arrivals;
+        for (std::size_t i = 0; i < count; ++i) {
+            Arrival a;
+            a.tick = 40 * i;
+            a.queryIndex = i == 1 ? 0 : i;
+            arrivals.push_back(a);
+        }
+        return arrivals;
+    }
+};
+
+TEST(AdmissionDeathTest, DuplicateArrivalIndexIsRejected)
+{
+    // Without the check the run completes with zero mismatches and a
+    // checksum that silently covers job 0 twice and job 1 never.
+    EXPECT_DEATH(
+        {
+            Fixture f(50);
+            runQei(f.world, f.prep,
+                   DriverConfig(SchemeConfig::coreIntegrated())
+                       .withTraffic(std::make_shared<RepeatsJobZero>()));
+        },
+        "arrival schedule names job 0 twice");
 }
 
 TEST(Admission, NbBackoffSurvivesSustainedQstSaturation)
