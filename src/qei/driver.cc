@@ -87,6 +87,10 @@ Driver::run(const std::vector<QueryJob>& jobs,
               "admission control sits between an open-loop traffic "
               "source and the system; closed-loop and QUERY_BATCH "
               "runs have no arrival queue to shed from");
+    simAssert(closed || config_.mode == QueryMode::Blocking,
+              "QUERY_NB requires a closed-loop source: the serving loop "
+              "issues load-like QUERY_B and has no poll-batch model, so "
+              "an open-loop QUERY_NB run would silently run as QUERY_B");
     if (config_.batch.enabled()) {
         simAssert(closed,
                   "QUERY_BATCH requires a closed-loop source: the "
@@ -120,13 +124,8 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
                    const std::vector<traffic::Arrival>& arrivals)
 {
     QeiRunStats stats;
-    stats.queries = jobs.size();
-    system_.breakdown_.reset();
-    system_.driverStats_->reset();
-    if (jobs.empty()) {
-        system_.fillBreakdownStats(stats);
+    if (!system_.beginRun(stats, jobs.size()))
         return stats;
-    }
     simAssert(arrivals.size() == jobs.size(),
               "traffic source scheduled {} arrivals for {} jobs",
               arrivals.size(), jobs.size());
@@ -312,7 +311,7 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
         simAssert(a.tenant >= 0 && a.tenant < tenants,
                   "arrival tenant {} outside [0, {})", a.tenant,
                   tenants);
-        events.scheduleAt(a.tick, [this, &events, &jobs, &pend,
+        events.scheduleAt(a.tick, [this, &jobs, &pend,
                                    &pendingTotal, &pump, &stats,
                                    &shedCount, &degradedInFlight,
                                    &degradeClock, &lastDegradedRetire,
@@ -345,35 +344,22 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
             admission->onDegraded();
             ts->degraded().inc();
             ++stats.degradedQueries;
-            const Cycles sw =
-                system_.coreExecuteCycles(a.queryIndex);
             const Cycles start = std::max(degradeClock, a.tick);
-            degradeClock = start + sw;
-            QstEntry entry = system_.coreExecutedEntry(
-                jobs[a.queryIndex], a.queryIndex, start, sw);
-            entry.tenant = a.tenant;
             ++degradedInFlight;
-            const Cycles degradeWait = start - a.tick;
-            events.scheduleAt(
-                start + sw,
-                [this, &jobs, &stats, &degradedInFlight,
-                 &lastDegradedRetire, entry, start, degradeWait, a]() {
-                    system_.recordCompletion(entry, start, 0,
-                                             degradeWait,
-                                             /*degraded=*/true);
-                    if (!QeiSystem::matchesExpectation(
-                            entry, jobs[a.queryIndex]))
-                        ++stats.mismatches;
-                    stats.resultChecksum ^=
-                        QeiSystem::resultDigest(entry);
-                    lastDegradedRetire = std::max(
-                        lastDegradedRetire, entry.completed);
-                    --degradedInFlight;
-                });
+            degradeClock =
+                start +
+                system_.executeOnCore(
+                    jobs[a.queryIndex], a.queryIndex,
+                    QueryMode::Blocking, start, start - a.tick, a.tenant,
+                    /*degraded=*/true, stats,
+                    [&](const QstEntry&, Cycles retireAt) {
+                        lastDegradedRetire =
+                            std::max(lastDegradedRetire, retireAt);
+                        --degradedInFlight;
+                    });
         });
     }
 
-    const QeiSystem::FaultCounters before = system_.faultCountersNow();
     system_.armFaultDaemons();
     events.run();
     std::size_t stillPending = 0;
@@ -387,11 +373,8 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
               issued, shedCount, jobs.size(), inflight, stillPending,
               degradedInFlight);
 
-    stats.cycles = std::max(lastRetire, lastDegradedRetire);
-    system_.collectAccelStats(stats);
     stats.maxInFlightObserved = inflightPeak;
-    system_.fillBreakdownStats(stats);
-    system_.fillFaultStats(stats, before);
+    system_.finishRun(stats, std::max(lastRetire, lastDegradedRetire));
     if (!reportTenants)
         return stats;
 

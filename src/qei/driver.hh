@@ -179,10 +179,11 @@ class DriverMetrics : public SimObject
 struct DriverConfig
 {
     Topology topology;
+    /** QUERY_B or QUERY_NB; an open-loop source needs QUERY_B. */
     QueryMode mode = QueryMode::Blocking;
     /** Core issuing the queries. */
     int core = 0;
-    /** QUERY_NB completions polled per SNAPSHOT_READ batch. */
+    /** QUERY_NB completions polled per SNAPSHOT_READ batch (>= 1). */
     int pollBatch = 32;
     /**
      * Arrival process; null means closed loop (the historical
@@ -312,7 +313,8 @@ class Driver
      * delegates to QeiSystem::runBlocking / runNonBlocking unchanged.
      * Open-loop: runServing schedules the source's arrival timeline
      * and submits blocking queries as QST capacity and the core's
-     * in-flight window allow. Either way the returned stats carry the
+     * in-flight window allow; an open-loop QUERY_NB or QUERY_BATCH
+     * config is rejected. Either way the returned stats carry the
      * sojourn/queue-wait/service digests.
      */
     QeiRunStats run(const std::vector<QueryJob>& jobs,
