@@ -22,7 +22,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -151,21 +150,12 @@ main(int argc, char** argv)
     BenchReport report("abl_batch", options);
     std::printf("=== Ablation: QUERY_BATCH batched execution ===\n");
 
-    // Positional query cap for CI smoke runs.
-    std::size_t queryCap = 0;
-    if (!options.positional.empty())
-        queryCap = static_cast<std::size_t>(
-            std::strtoull(options.positional[0].c_str(), nullptr, 10));
-    auto capped = [queryCap](std::size_t q) {
-        return queryCap != 0 && queryCap < q ? queryCap : q;
-    };
-
     const std::vector<CellSpec> specs{
-        {0, 42, capped(1536)}, // dpdk
-        {1, 42, capped(1024)}, // jvm
-        {2, 42, capped(512)},  // rocksdb
-        {3, 42, capped(256)},  // snort
-        {4, 42, capped(512)},  // flann
+        {0, 42, options.capped(1536)}, // dpdk
+        {1, 42, options.capped(1024)}, // jvm
+        {2, 42, options.capped(512)},  // rocksdb
+        {3, 42, options.capped(256)},  // snort
+        {4, 42, options.capped(512)},  // flann
     };
     const std::vector<std::string> specNames{"dpdk", "jvm", "rocksdb",
                                              "snort", "flann"};

@@ -19,7 +19,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 
@@ -181,18 +180,9 @@ main(int argc, char** argv)
     BenchReport report("abl_open_loop", options);
     std::printf("=== Ablation: open-loop serving latency ===\n");
 
-    // Positional query cap for CI smoke runs.
-    std::size_t queryCap = 0;
-    if (!options.positional.empty())
-        queryCap = static_cast<std::size_t>(
-            std::strtoull(options.positional[0].c_str(), nullptr, 10));
-    auto capped = [queryCap](std::size_t q) {
-        return queryCap != 0 && queryCap < q ? queryCap : q;
-    };
-
     const std::vector<CellSpec> specs{
-        {0, 43, capped(1500)}, // dpdk
-        {1, 42, capped(800)},  // jvm
+        {0, 43, options.capped(1500)}, // dpdk
+        {1, 42, options.capped(800)},  // jvm
     };
     const std::vector<std::string> specNames{"dpdk", "jvm"};
 

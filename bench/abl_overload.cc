@@ -24,7 +24,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -377,14 +376,7 @@ main(int argc, char** argv)
     BenchReport report("abl_overload", options);
     std::printf("=== Ablation: overload resilience ===\n");
 
-    // Positional query cap for CI smoke runs.
-    std::size_t queries = 1200;
-    if (!options.positional.empty()) {
-        const std::size_t cap = static_cast<std::size_t>(
-            std::strtoull(options.positional[0].c_str(), nullptr, 10));
-        if (cap != 0 && cap < queries)
-            queries = cap;
-    }
+    const std::size_t queries = options.capped(1200);
     const std::uint64_t kSeed = 43; // dpdk world, same as abl_open_loop
 
     // Phase 1: closed-loop saturation rate — the load sweep's anchor.

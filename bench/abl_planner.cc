@@ -28,7 +28,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -203,24 +202,15 @@ main(int argc, char** argv)
     std::printf(
         "=== Ablation: cost-model-driven offload planner ===\n");
 
-    // Positional query cap for CI smoke runs.
-    std::size_t queryCap = 0;
-    if (!options.positional.empty())
-        queryCap = static_cast<std::size_t>(
-            std::strtoull(options.positional[0].c_str(), nullptr, 10));
-    auto capped = [queryCap](std::size_t q) {
-        return queryCap != 0 && queryCap < q ? queryCap : q;
-    };
-
     const std::uint64_t kSeed = 42;
     const std::vector<std::size_t> queryCounts{
-        capped(1536), // dpdk
-        capped(1024), // jvm
-        capped(512),  // rocksdb
-        capped(256),  // snort
-        capped(512),  // flann
+        options.capped(1536), // dpdk
+        options.capped(1024), // jvm
+        options.capped(512),  // rocksdb
+        options.capped(256),  // snort
+        options.capped(512),  // flann
     };
-    const std::size_t mixedPerClass = capped(512);
+    const std::size_t mixedPerClass = options.capped(512);
 
     const std::vector<Topology> schemes = Topology::allPaper();
 

@@ -1,5 +1,8 @@
 #include "bench_util.hh"
 
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -101,19 +104,35 @@ collectCellWalls(const Json& node, const std::string& prefix,
     }
 }
 
+/**
+ * @p text as an unsigned decimal no larger than @p max: digits only
+ * (no sign, space or suffix) and no overflow, else false.
+ */
+bool
+parseDecimal(const char* text, unsigned long long max,
+             unsigned long long& out)
+{
+    if (*text < '0' || *text > '9')
+        return false;
+    errno = 0;
+    char* end = nullptr;
+    out = std::strtoull(text, &end, 10);
+    return *end == '\0' && errno != ERANGE && out <= max;
+}
+
 /** "0" / "auto" = all host cores; anything else must be >= 1. */
 int
 parseThreadCount(const char* text)
 {
-    if (std::strcmp(text, "auto") == 0 || std::strcmp(text, "0") == 0)
+    if (std::strcmp(text, "auto") == 0)
         return ThreadPool::hardwareThreads();
-    const int n = std::atoi(text);
-    if (n < 1) {
+    unsigned long long n = 0;
+    if (!parseDecimal(text, INT_MAX, n)) {
         fatal("--threads / QEI_BENCH_THREADS wants a positive count "
               "or 'auto', got '{}'",
               text);
     }
-    return n;
+    return n == 0 ? ThreadPool::hardwareThreads() : static_cast<int>(n);
 }
 
 } // namespace
@@ -126,7 +145,7 @@ usageError(const char* prog, const std::string& message)
     std::fprintf(
         stderr,
         "%s: %s\n"
-        "usage: %s [options] [positional args]\n"
+        "usage: %s [options] [query-cap]\n"
         "  --json <path>      write the JSON artifact to <path>\n"
         "  --trace <path>     write the Perfetto timeline to <path>\n"
         "  --metrics <path>   sample time-series metrics, write the "
@@ -145,7 +164,9 @@ usageError(const char* prog, const std::string& message)
         "  --list-traffic     print traffic-source names + "
         "descriptions, exit 0\n"
         "  --list-topologies  print deployment topologies + "
-        "descriptions, exit 0\n",
+        "descriptions, exit 0\n"
+        "  query-cap          positive decimal; caps the queries of "
+        "each sweep cell\n",
         prog, message.c_str(), prog);
     std::exit(2);
 }
@@ -285,8 +306,16 @@ parseBenchArgs(int argc, char** argv)
             listTopologies();
         } else if (std::strncmp(arg, "--", 2) == 0 && arg[2] != '\0') {
             usageError(prog, fmt("unknown option '{}'", arg));
+        } else if (options.queryCap != 0) {
+            usageError(prog, fmt("unexpected argument '{}'", arg));
         } else {
-            options.positional.push_back(arg);
+            unsigned long long cap = 0;
+            if (!parseDecimal(arg, SIZE_MAX, cap) || cap == 0) {
+                usageError(prog, fmt("query cap wants a positive "
+                                     "decimal count, got '{}'",
+                                     arg));
+            }
+            options.queryCap = static_cast<std::size_t>(cap);
         }
     }
 
@@ -309,18 +338,11 @@ parseBenchArgs(int argc, char** argv)
     }
 
     if (!options.metricsPath.empty()) {
-        if (metrics::kCompiledIn) {
-            // Same pattern as QEI_FAULTS: flip the process-wide switch
-            // here on the main thread, before any matrix fan-out, so
-            // worker-thread runQei() calls only read it.
-            metrics::loadRuntimeConfigFromEnv();
-            metrics::runtimeConfig().enabled = true;
-        } else {
-            std::fprintf(stderr,
-                         "--metrics: this build has QEI_METRICS=OFF; "
-                         "no time series will be sampled\n");
-            options.metricsPath.clear();
-        }
+        // Same pattern as QEI_FAULTS: flip the process-wide switch
+        // here on the main thread, before any matrix fan-out, so
+        // worker-thread runQei() calls only read it.
+        metrics::loadRuntimeConfigFromEnv();
+        metrics::runtimeConfig().enabled = true;
     }
     return options;
 }
@@ -466,52 +488,6 @@ BenchReport::finish()
     return validationOk;
 }
 
-WorkloadRun
-runWorkload(Workload& workload, std::size_t queries,
-            const std::vector<Topology>& topologies, QueryMode mode,
-            std::uint64_t seed, bool capture_stats)
-{
-    WorkloadRun run;
-    run.name = workload.name();
-    const std::size_t n =
-        queries == 0 ? workload.defaultQueries() : queries;
-
-    const auto start = Clock::now();
-    World world(seed);
-    workload.build(world);
-    run.prepared = workload.prepare(world, n);
-
-    // runBaseline/runQei reset every activity counter up front, so a
-    // post-run capture is exactly this run's activity.
-    run.baseline = runBaseline(world, run.prepared);
-    run.activity["baseline"] = ChipActivity::capture(world.hierarchy);
-    run.cellWallMs["baseline"] = msSince(start);
-
-    // The planner's cost-model class for every cell of this workload;
-    // mode stays Inherit, so this only takes effect under --planner.
-    PlannerConfig plannerCfg;
-    plannerCfg.workload = run.name;
-
-    for (const Topology& topo : topologies) {
-        const auto cellStart = Clock::now();
-        std::string stats_json;
-        const std::string name = topo.name();
-        run.schemes[name] = runQei(
-            world, run.prepared,
-            DriverConfig(topo)
-                .withMode(mode)
-                .withLabel(run.name + "/" + name)
-                .withPlanner(plannerCfg)
-                .captureStats(capture_stats ? &stats_json : nullptr));
-        run.activity[name] = ChipActivity::capture(world.hierarchy);
-        if (capture_stats)
-            run.statsJson[name] = std::move(stats_json);
-        run.cellWallMs[name] = msSince(cellStart);
-    }
-    run.hostWallMs = msSince(start);
-    return run;
-}
-
 namespace {
 
 /** One (workload, scheme-or-baseline) experiment's raw outcome. */
@@ -522,7 +498,6 @@ struct CellResult
     Prepared prepared;
     QeiRunStats stats;
     ChipActivity activity;
-    std::string statsJson;
     trace::TraceBuffer traceBuf;
     double wallMs = 0.0;
 };
@@ -584,9 +559,7 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
                     .withPollBatch(options.pollBatch)
                     .withBatch(options.batch)
                     .withLabel(out.workloadName + "/" + topo.name())
-                    .withPlanner(plannerCfg)
-                    .captureStats(options.captureStats ? &out.statsJson
-                                                       : nullptr));
+                    .withPlanner(plannerCfg));
         }
         out.activity = ChipActivity::capture(world.hierarchy);
         if (armTrace)
@@ -616,8 +589,6 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
             const std::string name = options.topologies[s].name();
             run.schemes[name] = cell.stats;
             run.activity[name] = cell.activity;
-            if (options.captureStats)
-                run.statsJson[name] = std::move(cell.statsJson);
             if (armTrace)
                 run.traces[name] = std::move(cell.traceBuf);
             run.cellWallMs[name] = cell.wallMs;
@@ -893,12 +864,6 @@ toJson(const WorkloadRun& run)
         schemes[name] = std::move(s);
     }
     out["schemes"] = std::move(schemes);
-    if (!run.statsJson.empty()) {
-        Json dumps = Json::object();
-        for (const auto& [name, dump] : run.statsJson)
-            dumps[name] = Json::parse(dump);
-        out["stats"] = std::move(dumps);
-    }
     return out;
 }
 

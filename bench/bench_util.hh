@@ -79,28 +79,38 @@ struct BenchOptions
      * src/qei/planner.hh). Empty = flag absent.
      */
     std::string plannerMode;
-    /** Non-option arguments, in order (debug_probe's workload
-     *  filter). */
-    std::vector<std::string> positional;
+    /**
+     * The one optional positional argument: a decimal query cap that
+     * the sweep harnesses apply per cell (CI smoke runs use a reduced
+     * count). 0 = no cap.
+     */
+    std::size_t queryCap = 0;
+
+    /** @p queries, lowered to queryCap when a cap is set. */
+    std::size_t
+    capped(std::size_t queries) const
+    {
+        return queryCap != 0 && queryCap < queries ? queryCap : queries;
+    }
 };
 
 /**
  * Parse the harness command line. Recognises `--json <path>`,
  * `--json=<path>`, `--trace <path>`, `--trace=<path>`,
  * `--metrics <path>`, `--metrics=<path>` (enables time-series
- * sampling and writes the CSV there; warns and ignores when the build
- * has -DQEI_METRICS=OFF), `--threads <n>`, `--threads=<n>` (n = 0 or
- * "auto" uses every host core), `--faults <spec>`, `--faults=<spec>`,
+ * sampling and writes the CSV there), `--threads <n>`, `--threads=<n>`
+ * (n = 0 or "auto" uses every host core; anything but a whole count
+ * in int range is fatal), `--faults <spec>`, `--faults=<spec>`,
  * `--planner <mode>`, `--planner=<mode>` (static|cost|shard; exported
- * as QEI_PLANNER), and `--validate`;
- * QEI_BENCH_THREADS seeds the thread default. `--list-workloads`,
- * `--list-schemes`, `--list-traffic`, and `--list-topologies` print
- * the available names
+ * as QEI_PLANNER), and `--validate`; QEI_BENCH_THREADS seeds the
+ * thread default. `--list-workloads`, `--list-schemes`,
+ * `--list-traffic`, and `--list-topologies` print the available names
  * with descriptions and exit(0), so scripts can enumerate instead of
- * hardcoding. Non-option
- * arguments are collected into BenchOptions::positional. Unknown
- * `--flags` and flags missing their operand print a usage message and
- * exit(2) — a typo must not silently run the un-modified experiment.
+ * hardcoding. One non-option argument is accepted, as
+ * BenchOptions::queryCap. Unknown `--flags`, flags missing their
+ * operand, a query cap that is not a positive decimal count and a
+ * second non-option argument print a usage message and exit(2) — a
+ * typo must not silently run the un-modified experiment.
  */
 BenchOptions parseBenchArgs(int argc, char** argv);
 
@@ -175,9 +185,6 @@ struct WorkloadRun
     /** Activity deltas for the energy model, keyed like `schemes`,
      *  plus "baseline". */
     std::map<std::string, ChipActivity> activity;
-    /** Full component-tree stats dumps, keyed like `schemes`; only
-     *  populated when runWorkload() was asked to capture them. */
-    std::map<std::string, std::string> statsJson;
     /** Drained timeline events, keyed like `activity`; only populated
      *  when the matrix armed trace capture. */
     std::map<std::string, trace::TraceBuffer> traces;
@@ -203,19 +210,6 @@ struct WorkloadRun
     }
 };
 
-/**
- * Build @p workload in a fresh world and run baseline + the given
- * topologies on @p queries matched queries (workload default when 0).
- * A vector of SchemeConfigs converts element-wise at the call site via
- * Topology's implicit constructor.
- */
-WorkloadRun runWorkload(Workload& workload, std::size_t queries = 0,
-                        const std::vector<Topology>& topologies =
-                            Topology::allPaper(),
-                        QueryMode mode = QueryMode::Blocking,
-                        std::uint64_t seed = 42,
-                        bool capture_stats = false);
-
 /** Knobs for a full (workload x scheme) matrix run. */
 struct MatrixOptions
 {
@@ -236,7 +230,6 @@ struct MatrixOptions
     int pollBatch = 32;
     /** QUERY_BATCH config for every cell; default scalar (size 1). */
     BatchConfig batch;
-    bool captureStats = false;
     /** Host threads; 1 runs every cell inline on this thread. */
     int threads = 1;
     /**
@@ -326,10 +319,8 @@ Json toJson(const CoreRunResult& result);
 Json toJson(const QeiRunStats& stats);
 
 /**
- * One workload's full cross-scheme result: baseline, per-scheme run
- * stats with raw `speedup` doubles and per-cell `host_wall_ms`, and
- * (when captured) the per-scheme component-tree stats dumps under
- * "stats".
+ * One workload's full cross-scheme result: baseline, and per-scheme
+ * run stats with raw `speedup` doubles and per-cell `host_wall_ms`.
  */
 Json toJson(const WorkloadRun& run);
 

@@ -96,9 +96,9 @@ main(int argc, char** argv)
 
     Json workloads = Json::array();
     const int width = defaultChip().core.issueWidth;
-    // Only the baseline run matters for profiling.
+    // Profiling reads only the baseline cells, so run no topology.
     MatrixOptions matrix;
-    matrix.topologies = {SchemeConfig::coreIntegrated()};
+    matrix.topologies = {};
     matrix.threads = options.threads;
     matrix.tracePath = options.tracePath;
     for (const WorkloadRun& run :

@@ -87,6 +87,11 @@ paperExpectations(std::uint64_t total_mismatches)
         "accelerated and scalar query results agree bit-for-bit",
         total_mismatches == 0,
         std::to_string(total_mismatches) + " mismatches"));
+    suite.expectations.push_back(Expectation::range(
+        "dpdk-core-int-sane", "Fig. 7",
+        "dpdk Core-integrated speedup stays in a sane band",
+        "workloads.[workload=dpdk].schemes.Core-integrated.speedup",
+        "x", 1.0, 10.0, 0.10));
     return suite;
 }
 

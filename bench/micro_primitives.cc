@@ -225,9 +225,7 @@ void
 BM_TraceEmit(benchmark::State& state)
 {
     // Hot-path cost of one guarded emit into an enabled sink — the
-    // per-event budget is < 20 ns. With QEI_TRACING=OFF,
-    // trace::active() folds to constant false, the loop body
-    // dead-codes away, and this reports ~0 ns/event.
+    // per-event budget is < 20 ns.
     trace::TraceSink sink;
     sink.enable(1 << 12);
     const std::uint16_t comp = sink.internComponent("bm.accel0");
@@ -240,7 +238,6 @@ BM_TraceEmit(benchmark::State& state)
         ++tick;
         benchmark::DoNotOptimize(tick);
     }
-    state.SetLabel(trace::kCompiledIn ? "tracing=on" : "tracing=off");
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));
 }
@@ -263,7 +260,6 @@ BM_TraceEmitDisabled(benchmark::State& state)
         ++tick;
         benchmark::DoNotOptimize(tick);
     }
-    state.SetLabel(trace::kCompiledIn ? "tracing=on" : "tracing=off");
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));
 }

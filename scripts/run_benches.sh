@@ -14,8 +14,7 @@
 #                    https://ui.perfetto.dev
 #   --metrics-dir DIR  also sample time-series metrics: each harness
 #                    gets --metrics DIR/METRICS_<name>.csv (see
-#                    docs/observability.md; needs -DQEI_METRICS=ON,
-#                    the default)
+#                    docs/observability.md)
 #   --validate  evaluate each harness's paper expectations (the harness
 #               prints its PASS/WARN/FAIL table and exits non-zero on
 #               FAIL), then fold all artifacts through tools/qei-validate

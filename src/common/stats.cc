@@ -198,44 +198,4 @@ StatsRegistry::resetAll()
     }
 }
 
-void
-StatGroup::addCounter(const std::string& name, const Counter& c)
-{
-    counters_[name] = &c;
-}
-
-void
-StatGroup::addScalar(const std::string& name, const ScalarStat& s)
-{
-    scalars_[name] = &s;
-}
-
-void
-StatGroup::addHistogram(const std::string& name, const Histogram& h)
-{
-    histograms_[name] = &h;
-}
-
-std::string
-StatGroup::render() const
-{
-    std::string out;
-    for (const auto& [name, c] : counters_)
-        out += qei::fmt("{}.{} {}\n", name_, name, c->value());
-    for (const auto& [name, s] : scalars_) {
-        out += qei::fmt("{}.{} count={} mean={:.4f} min={:.4f} "
-                           "max={:.4f}\n",
-                           name_, name, s->count(), s->mean(), s->min(),
-                           s->max());
-    }
-    for (const auto& [name, h] : histograms_) {
-        out += qei::fmt("{}.{} count={} mean={:.4f} p50={:.2f} "
-                           "p99={:.2f}\n",
-                           name_, name, h->scalar().count(),
-                           h->scalar().mean(), h->percentile(0.50),
-                           h->percentile(0.99));
-    }
-    return out;
-}
-
 } // namespace qei

@@ -5,8 +5,7 @@
  * Components own Counter / ScalarStat / Histogram members and register
  * them — under their SimObject's dotted path — with a StatsRegistry;
  * the registry renders everything for reports, serializes to JSON/CSV
- * (see stats_json.hh), and resets between regions of interest. The
- * older flat StatGroup is kept for small self-contained tools.
+ * (see stats_json.hh), and resets between regions of interest.
  */
 
 #ifndef QEI_COMMON_STATS_HH
@@ -187,34 +186,6 @@ class StatsRegistry
     void insert(const std::string& path, Entry entry);
 
     std::map<std::string, Entry> entries_;
-};
-
-/**
- * Named flat collection of statistics owned by one component.
- *
- * The group stores non-owning pointers; the registered stats must
- * outlive the group (the usual pattern is members of the same object).
- * New code should prefer SimObject + StatsRegistry.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void addCounter(const std::string& name, const Counter& c);
-    void addScalar(const std::string& name, const ScalarStat& s);
-    void addHistogram(const std::string& name, const Histogram& h);
-
-    /** Render all registered statistics as "group.name value" lines. */
-    std::string render() const;
-
-    const std::string& name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::map<std::string, const Counter*> counters_;
-    std::map<std::string, const ScalarStat*> scalars_;
-    std::map<std::string, const Histogram*> histograms_;
 };
 
 } // namespace qei

@@ -24,9 +24,8 @@
  *  - per-World: a sampler is owned by the cell that runs it, so
  *    parallel matrix cells never share one (Recorder, the only
  *    process-wide piece, is mutex-guarded and touched once per run);
- *  - compiled-out-able: -DQEI_METRICS=OFF folds metrics::active() to
- *    constant false and every hot-path push site dead-codes away,
- *    exactly like QEI_TRACING.
+ *  - off by default: a run arms a sampler only when a harness passes
+ *    --metrics, so every push site costs one pointer test otherwise.
  */
 
 #ifndef QEI_METRICS_METRICS_HH
@@ -49,20 +48,11 @@
 
 namespace qei::metrics {
 
-/** True when the metrics subsystem is compiled in (QEI_METRICS=ON). */
-#if defined(QEI_METRICS)
-inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
-
 class MetricsSampler;
 
 /**
- * The hot-path guard. Compiled out (QEI_METRICS=OFF) this is constant
- * false, so `if (metrics::active(s)) s->onSojourn(...)` — including
- * the argument computation — is removed entirely by dead-code
- * elimination; push cost is exactly zero.
+ * The hot-path guard: `if (metrics::active(s)) s->onSojourn(...)`
+ * skips the argument computation too while no sampler is armed.
  */
 inline bool active(const MetricsSampler* sampler);
 
@@ -375,12 +365,7 @@ class MetricsSampler : public SimObject
 inline bool
 active(const MetricsSampler* sampler)
 {
-    if constexpr (!kCompiledIn) {
-        (void)sampler;
-        return false;
-    } else {
-        return sampler != nullptr;
-    }
+    return sampler != nullptr;
 }
 
 /**
@@ -388,8 +373,8 @@ active(const MetricsSampler* sampler)
  * the main thread by parseBenchArgs (from `--metrics` and the
  * QEI_METRICS_INTERVAL / QEI_METRICS_WINDOW / QEI_METRICS_SLO
  * environment knobs) before any matrix fan-out; worker threads only
- * read it. Defaults to disabled, so runs without --metrics are
- * byte-identical to builds without the subsystem.
+ * read it. Defaults to disabled, so runs without --metrics arm no
+ * sampler at all.
  */
 struct RuntimeConfig
 {

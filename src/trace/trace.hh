@@ -16,9 +16,9 @@
  *  - per-World: sinks are owned by the World a cell simulates, so
  *    parallel matrix cells never share one (the no-shared-mutable-state
  *    rule of docs/performance.md);
- *  - compiled-out-able: configuring with -DQEI_TRACING=OFF removes the
- *    recording path entirely — trace::active() becomes constant false
- *    and every call site dead-codes away.
+ *  - off by default: a sink records only once enable() is called
+ *    (harnesses do so for --trace), so every call site costs one
+ *    pointer-and-flag test otherwise.
  *
  * Consumers: perfettoJson() exports Chrome/Perfetto trace_event JSON
  * (load in https://ui.perfetto.dev or chrome://tracing), and
@@ -41,13 +41,6 @@
 #include "common/types.hh"
 
 namespace qei::trace {
-
-/** True when the tracing subsystem is compiled in (QEI_TRACING=ON). */
-#if defined(QEI_TRACING)
-inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
 
 /** Event categories, one per simulated layer / lifecycle stage. */
 enum class Category : std::uint8_t {
@@ -138,8 +131,8 @@ class TraceSink
 
     /**
      * Append one event. Call sites must guard with trace::active(), so
-     * the ring store happens only while recording (and not at all when
-     * tracing is compiled out). No allocation: the ring wraps.
+     * the ring store happens only while recording. No allocation: the
+     * ring wraps.
      */
     void
     record(Category category, std::uint16_t component,
@@ -229,20 +222,13 @@ class TraceSink
 };
 
 /**
- * The hot-path guard. Compiled out (QEI_TRACING=OFF) this is constant
- * false, so `if (trace::active(sink)) sink->record(...)` — including
- * the argument computation — is removed entirely by dead-code
- * elimination; emit cost is exactly zero.
+ * The hot-path guard: `if (trace::active(sink)) sink->record(...)`
+ * skips the argument computation too while tracing is off.
  */
 inline bool
 active(const TraceSink* sink)
 {
-    if constexpr (!kCompiledIn) {
-        (void)sink;
-        return false;
-    } else {
-        return sink != nullptr && sink->enabled();
-    }
+    return sink != nullptr && sink->enabled();
 }
 
 // -- Chrome/Perfetto trace_event export --

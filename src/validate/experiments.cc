@@ -15,7 +15,6 @@ canonicalBenchOrder()
         "abl_qst_size",       "abl_remote_cmp",   "abl_noc_hotspot",
         "abl_multicore",      "abl_flush",        "abl_open_loop",
         "abl_batch",          "abl_planner",      "abl_overload",
-        "debug_probe",
     };
     return order;
 }

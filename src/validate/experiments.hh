@@ -17,7 +17,7 @@
 
 namespace qei::validate {
 
-/** The 16 harnesses in the paper's presentation order. */
+/** The harnesses in the paper's presentation order. */
 const std::vector<std::string>& canonicalBenchOrder();
 
 /**

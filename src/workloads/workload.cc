@@ -138,7 +138,7 @@ runQei(World& world, const Prepared& prepared,
     // timing; declared after the system so it dies first (its probes
     // borrow registry pointers into the component tree).
     std::unique_ptr<metrics::MetricsSampler> sampler;
-    if (metrics::kCompiledIn && metrics::runtimeConfig().enabled) {
+    if (metrics::runtimeConfig().enabled) {
         sampler = makeSampler(world, system,
                               metrics::runtimeConfig().sampler);
     }

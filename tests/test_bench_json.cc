@@ -1,7 +1,7 @@
 /**
  * Golden test for the benchmark `--json` path: run a small workload
- * through the same runWorkload -> toJson pipeline fig07_speedup uses
- * and validate the artifact schema against the in-memory results.
+ * through the same runWorkloadMatrix -> toJson pipeline fig07_speedup
+ * uses and validate the artifact schema against the in-memory results.
  */
 
 #include <gtest/gtest.h>
@@ -15,17 +15,24 @@ using namespace qei::bench;
 
 namespace {
 
+/** One workload's matrix row: baseline plus @p topologies. */
+WorkloadRun
+runFirstWorkload(std::size_t queries, std::vector<Topology> topologies)
+{
+    MatrixOptions matrix;
+    matrix.queries = queries;
+    matrix.topologies = std::move(topologies);
+    matrix.seed = 42;
+    return runWorkloadMatrix({makeWorkloadFactories().front()}, matrix)
+        .front();
+}
+
 /** One small run shared by every test in this file. */
 const WorkloadRun&
 goldenRun()
 {
-    static const WorkloadRun run = [] {
-        auto workloads = makeAllWorkloads();
-        return runWorkload(*workloads.front(), 400,
-                           Topology::allPaper(),
-                           QueryMode::Blocking, 42,
-                           /*capture_stats=*/true);
-    }();
+    static const WorkloadRun run =
+        runFirstWorkload(400, Topology::allPaper());
     return run;
 }
 
@@ -107,11 +114,16 @@ TEST(BenchJson, SpeedupsMatchTableToThreeDecimals)
 
 TEST(BenchJson, CapturedStatsAreValidDottedDumps)
 {
-    const WorkloadRun& run = goldenRun();
-    ASSERT_EQ(run.statsJson.size(), schemeNames().size());
-    for (const auto& name : schemeNames()) {
-        ASSERT_TRUE(run.statsJson.count(name)) << name;
-        const Json dump = Json::parse(run.statsJson.at(name));
+    auto workloads = makeAllWorkloads();
+    World world(42);
+    workloads.front()->build(world);
+    const Prepared prepared = workloads.front()->prepare(world, 400);
+    for (const Topology& topo : Topology::allPaper()) {
+        const std::string name = topo.name();
+        std::string json;
+        const QeiRunStats stats = runQei(
+            world, prepared, DriverConfig(topo).captureStats(&json));
+        const Json dump = Json::parse(json);
         ASSERT_TRUE(dump.isObject()) << name;
         // The component tree always roots at "system" and always
         // exposes the first accelerator and the memory hierarchy.
@@ -130,7 +142,8 @@ TEST(BenchJson, CapturedStatsAreValidDottedDumps)
                 path.compare(path.size() - 8, 8, ".queries") == 0)
                 completed += value.asUint();
         }
-        EXPECT_EQ(completed, run.schemes.at(name).queries) << name;
+        EXPECT_EQ(stats.queries, 400u) << name;
+        EXPECT_EQ(completed, stats.queries) << name;
     }
 }
 
@@ -139,9 +152,8 @@ TEST(BenchJson, HostSelfMetricsStampSimEventRateAndCellWalls)
     // The report must be constructed before the simulation work so
     // its sim-event baseline brackets the run.
     BenchReport report("unit_host", BenchOptions{});
-    auto workloads = makeAllWorkloads();
-    const WorkloadRun run = runWorkload(
-        *workloads.front(), 120, {SchemeConfig::coreIntegrated()});
+    const WorkloadRun run =
+        runFirstWorkload(120, {SchemeConfig::coreIntegrated()});
     report.data()["run"] = toJson(run);
     ASSERT_TRUE(report.finish());
 

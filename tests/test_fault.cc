@@ -460,17 +460,44 @@ TEST(BenchArgsDeathTest, BadFaultSpecDiesBeforeTheRun)
                 ::testing::ExitedWithCode(1), "unknown key");
 }
 
+TEST(BenchArgsDeathTest, BadQueryCapIsAUsageError)
+{
+    EXPECT_EXIT(parseArgs({"abc"}), ::testing::ExitedWithCode(2),
+                "query cap");
+    EXPECT_EXIT(parseArgs({"3OO"}), ::testing::ExitedWithCode(2),
+                "query cap");
+    EXPECT_EXIT(parseArgs({"0"}), ::testing::ExitedWithCode(2),
+                "query cap");
+    EXPECT_EXIT(parseArgs({"300", "400"}), ::testing::ExitedWithCode(2),
+                "unexpected argument '400'");
+}
+
+TEST(BenchArgsDeathTest, BadThreadCountDiesBeforeTheRun)
+{
+    for (const char* bad : {"4x", "2.5", "-1", "99999999999999999999"}) {
+        EXPECT_EXIT(parseArgs({"--threads", bad}),
+                    ::testing::ExitedWithCode(1), "positive count")
+            << bad;
+    }
+    EXPECT_EXIT(parseArgs({"--threads=2147483648"}),
+                ::testing::ExitedWithCode(1), "positive count");
+}
+
 TEST(BenchArgs, CollectsPositionalsAndFlags)
 {
     const bench::BenchOptions options = parseArgs(
-        {"dpdk", "--validate", "--threads", "2", "--json=/tmp/x.json",
-         "snort"});
+        {"--validate", "--threads", "2", "300", "--json=/tmp/x.json"});
     EXPECT_TRUE(options.validate);
     EXPECT_EQ(options.threads, 2);
     EXPECT_EQ(options.jsonPath, "/tmp/x.json");
-    ASSERT_EQ(options.positional.size(), 2u);
-    EXPECT_EQ(options.positional[0], "dpdk");
-    EXPECT_EQ(options.positional[1], "snort");
+    EXPECT_EQ(options.queryCap, 300u);
+    EXPECT_EQ(options.capped(1200), 300u);
+    EXPECT_EQ(options.capped(256), 256u);
+    EXPECT_EQ(parseArgs({"--threads=7"}).threads, 7);
+
+    const bench::BenchOptions none = parseArgs({});
+    EXPECT_EQ(none.queryCap, 0u);
+    EXPECT_EQ(none.capped(1200), 1200u);
 }
 
 } // namespace

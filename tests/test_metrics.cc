@@ -3,9 +3,8 @@
  * (exact over the retained window; windowed-vs-full-stream tolerance
  * on seeded Poisson and bursty arrival streams), window wrap and
  * region-of-interest reset, SLO threshold crossings, the Recorder CSV,
- * and — when compiled in — the end-to-end guarantee that sampling
- * rides daemon events only: closed-loop run results are bit-identical
- * with sampling on and off.
+ * and the end-to-end guarantee that sampling rides daemon events only:
+ * closed-loop run results are bit-identical with sampling on and off.
  */
 
 #include <gtest/gtest.h>
@@ -238,8 +237,6 @@ TEST(Metrics, RunSeriesJsonAndCsvShape)
     EXPECT_NE(csv.find("slo:sojourn"), std::string::npos);
 }
 
-#if QEI_METRICS
-
 namespace
 {
 
@@ -335,5 +332,3 @@ TEST(Metrics, DrainResetsForTheNextRunRegion)
     ASSERT_EQ(empty.series.size(), 1u);
     EXPECT_TRUE(empty.series[0].points.empty());
 }
-
-#endif // QEI_METRICS

@@ -128,21 +128,3 @@ TEST(Histogram, PercentileEmptyIsZero)
     Histogram h;
     EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
 }
-
-TEST(StatGroup, RendersAllKinds)
-{
-    StatGroup g("grp");
-    Counter c;
-    c.inc(3);
-    ScalarStat s;
-    s.sample(1.5);
-    Histogram h;
-    h.sample(2.0);
-    g.addCounter("hits", c);
-    g.addScalar("lat", s);
-    g.addHistogram("dist", h);
-    const std::string out = g.render();
-    EXPECT_NE(out.find("grp.hits 3"), std::string::npos);
-    EXPECT_NE(out.find("grp.lat"), std::string::npos);
-    EXPECT_NE(out.find("grp.dist"), std::string::npos);
-}

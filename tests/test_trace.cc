@@ -44,8 +44,7 @@ TEST(Trace, ActiveGuard)
     EXPECT_FALSE(trace::active(nullptr));
     EXPECT_FALSE(trace::active(&sink)); // disabled by default
     sink.enable(16);
-    // Enabled, active() follows the compile-time gate.
-    EXPECT_EQ(trace::active(&sink), trace::kCompiledIn);
+    EXPECT_TRUE(trace::active(&sink));
     sink.disable();
     EXPECT_FALSE(trace::active(&sink));
 }
@@ -186,8 +185,6 @@ TEST(Trace, PerfettoCounterTrackRoundTrips)
                      4.5);
 }
 
-#if QEI_TRACING
-
 namespace {
 
 /** Run one small accelerated workload with the sink armed. */
@@ -302,5 +299,3 @@ TEST(Trace, MatrixTraceFilesAreWellFormed)
         std::remove(file.c_str());
     }
 }
-
-#endif // QEI_TRACING
