@@ -89,24 +89,6 @@ struct CellResult
     trace::TraceBuffer trace;
 };
 
-/**
- * Closed-loop cycles/query for this cell's workload: the saturation
- * service rate the load sweep is anchored to. Deterministic per
- * (workload, seed, queries), so every thread computes the same gap.
- */
-double
-calibrateServiceGap(const CellSpec& spec)
-{
-    auto workload = makeWorkloadFactories()[spec.workloadIdx]();
-    World world(spec.worldSeed);
-    workload->build(world);
-    const Prepared prep = workload->prepare(world, spec.queries);
-    const QeiRunStats closed = runQei(
-        world, prep, DriverConfig(SchemeConfig::coreIntegrated()));
-    return static_cast<double>(closed.cycles) /
-           static_cast<double>(closed.queries);
-}
-
 /** Self-anchored expectations: queueing shape, not absolute cycles. */
 validate::Suite
 paperExpectations(const std::map<std::string, Knee>& knees)
@@ -192,7 +174,9 @@ main(int argc, char** argv)
     const auto gaps =
         parallelMap(options.threads, specs.size(),
                     [&](std::size_t i) -> double {
-                        return calibrateServiceGap(specs[i]);
+                        return calibrateServiceGap(
+                            specs[i].workloadIdx, specs[i].worldSeed,
+                            specs[i].queries);
                     });
 
     // Phase 2: one cell per (workload, offered load); every cell

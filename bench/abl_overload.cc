@@ -102,20 +102,6 @@ struct CellResult
     double goodput = 0.0; ///< admitted queries per kilocycle
 };
 
-/** Closed-loop cycles/query: the saturation anchor for the sweep. */
-double
-calibrateServiceGap(std::uint64_t seed, std::size_t queries)
-{
-    auto workload = makeWorkloadFactories()[0](); // dpdk
-    World world(seed);
-    workload->build(world);
-    const Prepared prep = workload->prepare(world, queries);
-    const QeiRunStats closed = runQei(
-        world, prep, DriverConfig(SchemeConfig::coreIntegrated()));
-    return static_cast<double>(closed.cycles) /
-           static_cast<double>(closed.queries);
-}
-
 /** Arrival source for one cell; paired cells share the seed. */
 std::shared_ptr<traffic::TrafficSource>
 makeTraffic(const CellSpec& spec, double gap)
@@ -380,7 +366,7 @@ main(int argc, char** argv)
     const std::uint64_t kSeed = 43; // dpdk world, same as abl_open_loop
 
     // Phase 1: closed-loop saturation rate — the load sweep's anchor.
-    const double gap = calibrateServiceGap(kSeed, queries);
+    const double gap = calibrateServiceGap(0, kSeed, queries); // dpdk
 
     auto runCell = [&](const CellSpec& spec,
                        double slo) -> CellResult {

@@ -876,4 +876,18 @@ schemeNames()
     return names;
 }
 
+double
+calibrateServiceGap(std::size_t workload_idx, std::uint64_t seed,
+                    std::size_t queries)
+{
+    auto workload = makeWorkloadFactories()[workload_idx]();
+    World world(seed);
+    workload->build(world);
+    const Prepared prep = workload->prepare(world, queries);
+    const QeiRunStats closed = runQei(
+        world, prep, DriverConfig(SchemeConfig::coreIntegrated()));
+    return static_cast<double>(closed.cycles) /
+           static_cast<double>(closed.queries);
+}
+
 } // namespace qei::bench

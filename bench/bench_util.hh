@@ -261,6 +261,16 @@ std::vector<WorkloadRun> runWorkloadMatrix(
 std::vector<std::string> schemeNames();
 
 /**
+ * Closed-loop core-integrated cycles/query of workload
+ * @p workload_idx (a makeWorkloadFactories() index) on a World seeded
+ * @p seed with @p queries queries: the saturation service rate the
+ * open-loop load sweeps are anchored to. Deterministic in its
+ * arguments, so every host thread computes the same gap.
+ */
+double calibrateServiceGap(std::size_t workload_idx,
+                           std::uint64_t seed, std::size_t queries);
+
+/**
  * Trace capture for harnesses that drive Worlds by hand (the latency
  * sweeps and ablations, which don't go through runWorkloadMatrix):
  *

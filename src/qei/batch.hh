@@ -139,14 +139,6 @@ class BatchMetrics : public SimObject
     Counter& queries() { return queries_; }
     Counter& backoffs() { return backoffs_; }
 
-    void
-    reset()
-    {
-        batches_.reset();
-        queries_.reset();
-        backoffs_.reset();
-    }
-
   private:
     Counter batches_;
     Counter queries_;

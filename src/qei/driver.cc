@@ -111,7 +111,7 @@ Driver::run(const std::vector<QueryJob>& jobs,
         stats = runServing(jobs, profile,
                            config_.traffic->schedule(jobs.size()));
     }
-    DriverMetrics& m = system_.driverMetrics();
+    const DriverMetrics& m = *system_.driverStats_;
     stats.sojourn = DriverMetrics::digest(m.sojourn());
     stats.queueWait = DriverMetrics::digest(m.queueWait());
     stats.service = DriverMetrics::digest(m.service());
@@ -142,7 +142,7 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
     if (reportTenants)
         system_.driverStats_->ensureTenants(tenants);
 
-    AdmissionController* admission = system_.admission();
+    AdmissionController* admission = system_.admission_;
     const bool degrade = admission != nullptr &&
                          admission->config().degradeToCore;
     simAssert(!degrade || system_.fallbackTraces_ != nullptr,
@@ -338,7 +338,7 @@ Driver::runServing(const std::vector<QueryJob>& jobs,
             ++stats.sheddedQueries;
             // Shedding IS forward progress: a long shed interval must
             // not trip the no-retire watchdog.
-            system_.watchdog().noteProgress();
+            system_.watchdog_->noteProgress();
             if (!degrade)
                 return;
             admission->onDegraded();

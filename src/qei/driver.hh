@@ -43,17 +43,6 @@ class TenantStats : public SimObject
 
     void regStats(StatsRegistry& registry) override;
 
-    void
-    reset()
-    {
-        offered_.reset();
-        admitted_.reset();
-        shed_.reset();
-        degraded_.reset();
-        sojourn_.reset();
-        occupancy_.reset();
-    }
-
     Counter& offered() { return offered_; }
     Counter& admitted() { return admitted_; }
     Counter& shed() { return shed_; }
@@ -107,21 +96,9 @@ class DriverMetrics : public SimObject
                 static_cast<double>(queue_wait + service));
     }
 
-    void
-    reset()
-    {
-        sojourn_.reset();
-        queueWait_.reset();
-        service_.reset();
-        degradedSojourn_.reset();
-        for (auto& t : tenants_)
-            t->reset();
-    }
-
     /**
      * Create (and adopt, as "tenant.<id>") per-tenant accounting for
-     * tenants [0, @p count). Existing children are kept, so repeated
-     * runs on one system reuse them (reset() zeroes the counters).
+     * tenants [0, @p count) that do not have it yet.
      */
     void ensureTenants(int count);
 
@@ -298,7 +275,7 @@ struct DriverConfig
 
 /**
  * Runs prepared jobs through a QeiSystem under a DriverConfig.
- * Stateless between runs; borrow the system for the call.
+ * Holds no state of its own; the borrowed system serves one run.
  */
 class Driver
 {

@@ -227,27 +227,14 @@ QeiSystem::recordCompletion(const QstEntry& entry, Cycles issue_at,
     }
 }
 
-namespace {
-
-/** QeiRunStats fields that report a per-run delta of a counter that
- *  accumulates across runs. */
-constexpr std::uint64_t QeiRunStats::*kRunDeltas[] = {
-    &QeiRunStats::faultsInjected,   &QeiRunStats::swFallbacks,
-    &QeiRunStats::swFallbackCycles, &QeiRunStats::faultFlushes,
-    &QeiRunStats::plannerDecisions, &QeiRunStats::plannerCoreExecutes,
-    &QeiRunStats::batchHeaderHits,  &QeiRunStats::batchLineHits,
-};
-
-} // namespace
-
 bool
 QeiSystem::beginRun(QeiRunStats& stats, std::size_t jobs)
 {
+    simAssert(!ran_,
+              "a QeiSystem runs once: its counters would sum over both "
+              "runs; build a new system for the next run");
+    ran_ = true;
     stats.queries = jobs;
-    breakdown_.reset();
-    driverStats_->reset();
-    batchStats_->reset();
-    runStart_ = cumulativeCounters();
     if (jobs == 0)
         finishRun(stats, 0);
     return jobs > 0;
@@ -269,34 +256,20 @@ QeiSystem::finishRun(QeiRunStats& stats, Cycles cycles) const
 
     stats.cycles = cycles;
     collectAccelStats(stats);
-    const QeiRunStats now = cumulativeCounters();
-    for (const auto field : kRunDeltas)
-        stats.*field = now.*field - runStart_.*field;
-    // Reset by beginRun, so already per run.
+    if (faults_ != nullptr) {
+        stats.faultsInjected = faults_->injected();
+        stats.swFallbacks = faults_->swFallbacks();
+        stats.swFallbackCycles = faults_->swFallbackCycles();
+        stats.faultFlushes = faults_->flushes();
+    }
+    if (planner_ != nullptr) {
+        stats.plannerDecisions = planner_->decisions();
+        stats.plannerCoreExecutes = planner_->coreExecutes();
+    }
+    stats.qstBackoffs = backoffs_.value();
     stats.batches = batchStats_->batches().value();
     stats.batchedQueries = batchStats_->queries().value();
     stats.batchBackoffs = batchStats_->backoffs().value();
-}
-
-QeiRunStats
-QeiSystem::cumulativeCounters() const
-{
-    QeiRunStats out;
-    if (faults_ != nullptr) {
-        out.faultsInjected = faults_->injected();
-        out.swFallbacks = faults_->swFallbacks();
-        out.swFallbackCycles = faults_->swFallbackCycles();
-        out.faultFlushes = faults_->flushes();
-    }
-    if (planner_ != nullptr) {
-        out.plannerDecisions = planner_->decisions();
-        out.plannerCoreExecutes = planner_->coreExecutes();
-    }
-    for (const auto& a : accels_) {
-        out.batchHeaderHits += a->batchHeaderHits();
-        out.batchLineHits += a->batchLineHits();
-    }
-    return out;
 }
 
 void
@@ -471,7 +444,7 @@ QeiSystem::flushTick()
 {
     if (events_.pendingWork() == 0) {
         // Run region drained: stop so the event loop can return; the
-        // next run re-arms.
+        // next region (a QUERY_NB poll batch) re-arms.
         flusherArmed_ = false;
         return;
     }
@@ -623,6 +596,8 @@ QeiSystem::collectAccelStats(QeiRunStats& stats) const
         stats.microOps += a->microOps();
         stats.remoteCompares += a->remoteCompares();
         stats.exceptions += a->exceptions();
+        stats.batchHeaderHits += a->batchHeaderHits();
+        stats.batchLineHits += a->batchLineHits();
         occSum += a->qstOccupancy().sum();
         occCount += static_cast<double>(a->qstOccupancy().count());
         // The paper reports 50-90% occupancy on the busy instances.
@@ -964,7 +939,6 @@ QeiSystem::runNonBlocking(const std::vector<QueryJob>& jobs,
             Accelerator& target =
                 acceleratorFor(j.keyAddr, issuing_core);
             if (!target.hasFreeSlot()) {
-                ++stats.qstBackoffs;
                 backoffs_.inc();
                 if (faults_ != nullptr)
                     faults_->onBackoff();

@@ -191,7 +191,11 @@ struct QeiRunStats
     }
 };
 
-/** The QEI deployment on one chip for one integration scheme. */
+/**
+ * The QEI deployment on one chip for one integration scheme. A system
+ * serves exactly one run (any run* call or a Driver serving run);
+ * build a new one for the next.
+ */
 class QeiSystem : public SimObject
 {
   public:
@@ -285,9 +289,6 @@ class QeiSystem : public SimObject
     void setSoftwareFallback(const std::vector<QueryTrace>* traces,
                              const RoiProfile& profile);
 
-    /** Fault-injection source; nullptr when the run is fault-free. */
-    FaultInjector* faultInjector() { return faults_.get(); }
-
     /**
      * Attach (or detach, with nullptr) the offload planner: the
      * closed-loop issue paths (QUERY_B, QUERY_NB, QUERY_BATCH)
@@ -299,7 +300,6 @@ class QeiSystem : public SimObject
      * (placement there is the topology's job alone).
      */
     void setPlanner(OffloadPlanner* planner) { planner_ = planner; }
-    OffloadPlanner* planner() { return planner_; }
 
     /**
      * Attach (or detach, with nullptr) a telemetry sampler: the run
@@ -326,17 +326,13 @@ class QeiSystem : public SimObject
     {
         admission_ = admission;
     }
-    AdmissionController* admission() { return admission_; }
 
     /**
      * Live full-QST deferrals (scalar QUERY_NB retries plus batch
-     * admission backoffs), cumulative across runs — the counter the
-     * metrics backoff-rate series differentiates.
+     * admission backoffs) so far — the counter the metrics
+     * backoff-rate series differentiates.
      */
     std::uint64_t liveBackoffs() const;
-
-    /** Forward-progress watchdog (always present, armed per run). */
-    sim::Watchdog& watchdog() { return *watchdog_; }
 
     /**
      * Pre-warm every translation structure (dedicated TLBs and core
@@ -361,26 +357,6 @@ class QeiSystem : public SimObject
 
     /** Full stats dump as pretty-printed JSON (all counters). */
     std::string dumpStatsJson();
-
-    const SchemeConfig& scheme() const { return scheme_; }
-    /** The deployment description this system was built from. */
-    const Topology& topology() const { return topo_; }
-    /**
-     * Per-query sojourn / queue-wait / service histograms, registered
-     * as the "driver" child (system.driver.*). Filled by
-     * recordCompletion on every run; the Driver resets them per run.
-     */
-    DriverMetrics& driverMetrics() { return *driverStats_; }
-    /** QUERY_BATCH amortization counters (system.batch.*). */
-    BatchMetrics& batchMetrics() { return *batchStats_; }
-    RemoteComparators& remoteComparators() { return remoteCmps_; }
-    Mmu& coreMmu(int core) { return *mmus_[static_cast<std::size_t>(core)]; }
-
-    /** Latency decomposition of the most recent run. */
-    const trace::LatencyBreakdown& breakdown() const
-    {
-        return breakdown_;
-    }
 
   private:
     /** The open-loop serving loop lives in driver.cc and reuses the
@@ -412,24 +388,20 @@ class QeiSystem : public SimObject
         std::function<void(const QstEntry& entry, Cycles retire_at)>;
 
     /**
-     * Open a run of @p jobs queries: reset the breakdown, the driver
-     * histograms and the batch counters, and snapshot the cumulative
-     * counters finishRun reports as per-run deltas.
+     * Open the run of @p jobs queries. Every counter starts at zero
+     * when the system is built, so a second run fails a simAssert
+     * instead of reporting sums over both.
      * @return false for an empty run; @p stats then already carries
      * its (empty) breakdown and nothing else.
      */
     bool beginRun(QeiRunStats& stats, std::size_t jobs);
 
     /**
-     * Close a run whose last query retired at @p cycles: fold the
-     * accelerator counters, the breakdown totals and the per-run
-     * fault, planner and batch deltas into @p stats.
+     * Close the run whose last query retired at @p cycles: read the
+     * accelerator, breakdown, fault, planner, backoff and batch
+     * counters into @p stats.
      */
     void finishRun(QeiRunStats& stats, Cycles cycles) const;
-
-    /** The cumulative counters behind the per-run deltas, in their
-     *  QeiRunStats fields. */
-    QeiRunStats cumulativeCounters() const;
 
     /**
      * Carry one QUERY_B, issued by @p core at @p issue_at after
@@ -588,9 +560,12 @@ class QeiSystem : public SimObject
     std::unique_ptr<CoreModel> fallbackCore_;
 
     trace::LatencyBreakdown breakdown_;
-    /** cumulativeCounters() when the current run began. */
-    QeiRunStats runStart_;
+    /** Set by beginRun; a second run is rejected. */
+    bool ran_ = false;
+    /** Per-query sojourn / queue-wait / service histograms
+     *  (system.driver.*), filled by recordCompletion. */
     std::unique_ptr<DriverMetrics> driverStats_;
+    /** QUERY_BATCH amortization counters (system.batch.*). */
     std::unique_ptr<BatchMetrics> batchStats_;
     /** Borrowed telemetry sampler; null when sampling is off. */
     metrics::MetricsSampler* metrics_ = nullptr;
@@ -598,7 +573,7 @@ class QeiSystem : public SimObject
     OffloadPlanner* planner_ = nullptr;
     /** Borrowed admission controller; null = admit everything. */
     AdmissionController* admission_ = nullptr;
-    /** Scalar QUERY_NB full-QST retries, cumulative across runs. */
+    /** Scalar QUERY_NB full-QST retries (QeiRunStats::qstBackoffs). */
     Counter backoffs_;
     trace::TraceSink* trace_ = nullptr;
     std::uint16_t traceComp_ = 0;

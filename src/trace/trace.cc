@@ -226,18 +226,6 @@ LatencyBreakdown::record(const QueryAttribution& attribution)
     ++queries_;
 }
 
-void
-LatencyBreakdown::reset()
-{
-    for (std::size_t i = 0; i < kLatencyComponentCount; ++i) {
-        totals_[i] = 0;
-        componentHist_[i].reset();
-    }
-    endToEndTotal_ = 0;
-    endToEndHist_.reset();
-    queries_ = 0;
-}
-
 FoldedBreakdown
 foldTrace(const TraceBuffer& buf)
 {

@@ -316,9 +316,6 @@ class LatencyBreakdown : public SimObject
 
     void record(const QueryAttribution& attribution);
 
-    /** Zero all histograms and totals (fresh measurement window). */
-    void reset();
-
     std::uint64_t queries() const { return queries_; }
     Cycles endToEndTotal() const { return endToEndTotal_; }
     Cycles

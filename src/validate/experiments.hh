@@ -17,7 +17,10 @@
 
 namespace qei::validate {
 
-/** The harnesses in the paper's presentation order. */
+/**
+ * Every harness, in the paper's presentation order. qei-validate
+ * rejects an artifact whose `bench` is not listed.
+ */
 const std::vector<std::string>& canonicalBenchOrder();
 
 /**

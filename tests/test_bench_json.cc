@@ -114,36 +114,62 @@ TEST(BenchJson, SpeedupsMatchTableToThreeDecimals)
 
 TEST(BenchJson, CapturedStatsAreValidDottedDumps)
 {
-    auto workloads = makeAllWorkloads();
-    World world(42);
-    workloads.front()->build(world);
-    const Prepared prepared = workloads.front()->prepare(world, 400);
-    for (const Topology& topo : Topology::allPaper()) {
-        const std::string name = topo.name();
-        std::string json;
-        const QeiRunStats stats = runQei(
-            world, prepared, DriverConfig(topo).captureStats(&json));
-        const Json dump = Json::parse(json);
-        ASSERT_TRUE(dump.isObject()) << name;
-        // The component tree always roots at "system" and always
-        // exposes the first accelerator and the memory hierarchy.
-        EXPECT_TRUE(dump.contains("system.accel0.queries")) << name;
-        EXPECT_TRUE(dump.contains("system.accel0.qst.occupancy"))
-            << name;
-        EXPECT_TRUE(dump.contains("system.memory.llc_hit_rate"))
-            << name;
+    // Every paper topology fault-free, plus one faulted CHA-TLB run
+    // whose recovery counters the dump must report as QeiRunStats does.
+    struct Input
+    {
+        std::string faults;
+        std::vector<Topology> topologies;
+    };
+    const std::vector<Input> inputs{
+        {"", Topology::allPaper()},
+        {"pf=0.05", {SchemeConfig::chaTlb()}},
+    };
+    for (const Input& input : inputs) {
+        ChipConfig chip = defaultChip();
+        if (!input.faults.empty())
+            chip.faults = parseFaultSpec(input.faults);
+        World world(42, chip);
+        auto workload = makeWorkloadFactories().front()();
+        workload->build(world);
+        const Prepared prepared = workload->prepare(world, 400);
+        for (const Topology& topo : input.topologies) {
+            const std::string name = topo.name() + " " + input.faults;
+            std::string json;
+            const QeiRunStats stats = runQei(
+                world, prepared, DriverConfig(topo).captureStats(&json));
+            const Json dump = Json::parse(json);
+            ASSERT_TRUE(dump.isObject()) << name;
+            // The component tree always roots at "system" and always
+            // exposes the first accelerator and the memory hierarchy.
+            EXPECT_TRUE(dump.contains("system.accel0.queries")) << name;
+            EXPECT_TRUE(dump.contains("system.accel0.qst.occupancy"))
+                << name;
+            EXPECT_TRUE(dump.contains("system.memory.llc_hit_rate"))
+                << name;
 
-        // Completed queries summed over every accelerator must equal
-        // the run's query count.
-        std::uint64_t completed = 0;
-        for (const auto& [path, value] : dump.items()) {
-            if (path.rfind("system.accel", 0) == 0 &&
-                path.size() > 8 &&
-                path.compare(path.size() - 8, 8, ".queries") == 0)
-                completed += value.asUint();
+            // Completed queries summed over every accelerator must
+            // equal the run's query count.
+            std::uint64_t completed = 0;
+            for (const auto& [path, value] : dump.items()) {
+                if (path.rfind("system.accel", 0) == 0 &&
+                    path.size() > 8 &&
+                    path.compare(path.size() - 8, 8, ".queries") == 0)
+                    completed += value.asUint();
+            }
+            EXPECT_EQ(stats.queries, 400u) << name;
+            EXPECT_EQ(completed, stats.queries) << name;
+
+            if (!chip.faults.any())
+                continue;
+            EXPECT_GT(stats.faultsInjected, 0u) << name;
+            EXPECT_EQ(dump.at("system.faults.injected").asUint(),
+                      stats.faultsInjected)
+                << name;
+            EXPECT_EQ(dump.at("system.faults.sw_fallbacks").asUint(),
+                      stats.swFallbacks)
+                << name;
         }
-        EXPECT_EQ(stats.queries, 400u) << name;
-        EXPECT_EQ(completed, stats.queries) << name;
     }
 }
 

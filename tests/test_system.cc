@@ -183,3 +183,20 @@ TEST_F(SystemFixture, SpeedupOverBaselineOnWarmLlc)
         runQei(world, prep, DriverConfig(SchemeConfig::coreIntegrated()));
     EXPECT_GT(speedupOf(baseline, qei), 1.0);
 }
+
+// Every counter a QeiSystem reports starts at zero when it is built,
+// so a second run on one system would report sums over both runs.
+using SystemDeathTest = SystemFixture;
+
+TEST_F(SystemDeathTest, SecondRunOnOneSystemIsRejected)
+{
+    world.resetTiming();
+    QeiSystem system(world.chip, world.events, world.hierarchy,
+                     world.vm, world.firmware, SchemeConfig::chaTlb());
+    const QeiRunStats first =
+        system.runBlocking(prep.jobs, 0, prep.profile);
+    EXPECT_EQ(first.queries, prep.jobs.size());
+    EXPECT_EQ(first.mismatches, 0u);
+    EXPECT_DEATH(system.runBlocking(prep.jobs, 0, prep.profile),
+                 "a QeiSystem runs once");
+}

@@ -1,11 +1,18 @@
 /**
  * Tests for the qei::validate paper-fidelity subsystem: metric path
  * resolution, band/ordering/shape evaluation with their tolerance
- * edges, artifact embedding, and byte-stable EXPERIMENTS.md
- * regeneration.
+ * edges, artifact embedding, byte-stable EXPERIMENTS.md
+ * regeneration, and qei-validate's known-harness check.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "common/json.hh"
 #include "validate/expectation.hh"
@@ -265,12 +272,76 @@ TEST(Experiments, RenderIsByteStableAndCanonicallyOrdered)
     EXPECT_EQ(renderExperiments(canonical), a);
 }
 
+/** The harness names bench/CMakeLists.txt declares with qei_bench(). */
+std::set<std::string>
+declaredHarnesses()
+{
+    std::ifstream in(std::string(QEI_SOURCE_DIR) + "/bench/CMakeLists.txt");
+    EXPECT_TRUE(in) << "cannot read bench/CMakeLists.txt";
+    const std::string prefix = "qei_bench(";
+    std::set<std::string> names;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind(prefix, 0) == 0 && line.back() == ')')
+            names.insert(line.substr(
+                prefix.size(), line.size() - prefix.size() - 1));
+    }
+    return names;
+}
+
 TEST(Experiments, CanonicalOrderCoversAllHarnesses)
 {
     const std::vector<std::string>& order = canonicalBenchOrder();
-    EXPECT_EQ(order.size(), 19u);
+    const std::set<std::string> listed(order.begin(), order.end());
+    EXPECT_EQ(listed.size(), order.size()) << "a harness is listed twice";
+    const std::set<std::string> declared = declaredHarnesses();
+    EXPECT_FALSE(declared.empty());
+    EXPECT_EQ(listed, declared);
     EXPECT_EQ(order.front(), "fig01_profiling");
-    EXPECT_EQ(order.back(), "abl_overload");
+}
+
+/** Run qei-validate on one artifact naming @p bench; its exit status. */
+int
+validateArtifactOf(const std::string& bench, std::string* stderr_text)
+{
+    Json artifact = fixtureArtifact();
+    artifact["bench"] = bench;
+    Suite suite;
+    suite.title = "test";
+    suite.expectations.push_back(Expectation::range(
+        "g", "Fig. 7", "geomean", "geomean", "x", 4.0, 5.0, 0.10));
+    artifact["validation"] = toJson(suite, evaluate(suite, artifact));
+
+    const std::string dir = ::testing::TempDir();
+    const std::string path = dir + "BENCH_" + bench + ".json";
+    const std::string errPath = dir + "qei_validate_" + bench + ".err";
+    std::ofstream(path) << artifact.dump(2);
+    const std::string cmd = std::string(QEI_VALIDATE_BIN) +
+                            " --quiet '" + path + "' 2>'" + errPath +
+                            "'";
+    const int status = std::system(cmd.c_str());
+    std::ifstream err(errPath);
+    std::ostringstream text;
+    text << err.rdbuf();
+    *stderr_text = text.str();
+    std::remove(path.c_str());
+    std::remove(errPath.c_str());
+    return status;
+}
+
+TEST(Experiments, ValidatorRejectsArtifactsFromUnknownHarnesses)
+{
+    std::string err;
+    EXPECT_EQ(validateArtifactOf("abl_fault", &err), 0) << err;
+    EXPECT_EQ(err, "");
+
+    // A harness deleted from the sources but still in an old build
+    // tree: its artifact must not fold into EXPERIMENTS.md silently.
+    EXPECT_NE(validateArtifactOf("debug_probe", &err), 0);
+    EXPECT_NE(err.find("unknown harness 'debug_probe'"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("stale binary"), std::string::npos) << err;
 }
 
 TEST(Format, ValueFormattingIsDeterministic)

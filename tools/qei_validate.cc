@@ -15,9 +15,11 @@
  * Exit code: 0 when every expectation in every artifact is PASS or
  * WARN and the optional --check-experiments comparison matches;
  * 1 otherwise (any FAIL, a missing/unparseable artifact or
- * validation block, or a stale committed EXPERIMENTS.md).
+ * validation block, an artifact from a harness not in
+ * canonicalBenchOrder(), or a stale committed EXPERIMENTS.md).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -112,6 +114,18 @@ main(int argc, char** argv)
         const std::string bench = artifact.contains("bench")
                                       ? artifact.at("bench").asString()
                                       : path;
+        const auto& known = qei::validate::canonicalBenchOrder();
+        if (std::find(known.begin(), known.end(), bench) ==
+            known.end()) {
+            // run_benches.sh globs build/bench/*, so a harness deleted
+            // from the sources can still run from an old build tree.
+            std::fprintf(stderr,
+                         "qei-validate: %s: unknown harness '%s' (not "
+                         "in canonicalBenchOrder(); a stale binary left "
+                         "in the build tree?)\n",
+                         path.c_str(), bench.c_str());
+            ok = false;
+        }
         if (!artifact.contains("validation")) {
             table.row({bench, "-", "-", "-", "NO SUITE"});
             std::fprintf(stderr,
