@@ -48,7 +48,6 @@ struct CellResult
 {
     int batchSize;
     QeiRunStats stats;
-    trace::TraceBuffer trace;
 };
 
 /** Self-anchored expectations: amortization shape + bit-identity. */
@@ -160,8 +159,6 @@ main(int argc, char** argv)
     const std::vector<std::string> specNames{"dpdk", "jvm", "rocksdb",
                                              "snort", "flann"};
 
-    TraceCollector tracer(options.tracePath);
-
     // One cell per (workload, batch size); every cell builds its own
     // World from the spec seed, so results are bit-identical at any
     // --threads setting. batch=1 is the untouched scalar path.
@@ -178,17 +175,15 @@ main(int argc, char** argv)
             workload->build(world);
             const Prepared prep =
                 workload->prepare(world, spec.queries);
-            tracer.arm(world);
             DriverConfig config(SchemeConfig::coreIntegrated());
+            config.withLabel(specNames[w] + "/batch-" +
+                             std::to_string(batchSize));
             if (batchSize > 1) {
                 config.withBatch(BatchConfig{
                     batchSize, BatchReorder::ByKeyLocality, true});
             }
             const QeiRunStats stats = runQei(world, prep, config);
-            CellResult out{batchSize, stats, {}};
-            if (tracer.enabled())
-                out.trace = world.traceSink.drain();
-            return out;
+            return CellResult{batchSize, stats};
         });
 
     TablePrinter table;
@@ -204,9 +199,6 @@ main(int argc, char** argv)
         for (std::size_t b = 0; b < kBatchSizes.size(); ++b) {
             const CellResult& cell = sweep[w * kBatchSizes.size() + b];
             const QeiRunStats& s = cell.stats;
-            tracer.add(specNames[w] + "/batch-" +
-                           std::to_string(cell.batchSize),
-                       cell.trace);
             const double speedup =
                 s.cycles ? static_cast<double>(scalar.cycles) /
                                static_cast<double>(s.cycles)
@@ -260,6 +252,5 @@ main(int argc, char** argv)
 
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
-    return report.finish() && traceOk ? 0 : 1;
+    return report.finish() ? 0 : 1;
 }

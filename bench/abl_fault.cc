@@ -67,7 +67,10 @@ runMix(const Mix& mix)
     World world(kSeed, chip);
     workload->build(world);
     const Prepared prepared = workload->prepare(world, kQueries);
-    return runQei(world, prepared, DriverConfig(SchemeConfig::coreIntegrated()).withMode(mix.mode));
+    return runQei(world, prepared,
+                  DriverConfig(SchemeConfig::coreIntegrated())
+                      .withMode(mix.mode)
+                      .withLabel(std::string("fault/") + mix.label));
 }
 
 using validate::Expectation;
@@ -75,8 +78,7 @@ using validate::Relation;
 
 /** Paper expectations for the fault-injection ablation. */
 validate::Suite
-paperExpectations(const QeiRunStats& none, const QeiRunStats& pf,
-                  const QeiRunStats& combined)
+paperExpectations(const QeiRunStats& pf, const QeiRunStats& combined)
 {
     validate::Suite suite;
     suite.title = "Ablation — fault injection and recovery";
@@ -234,6 +236,6 @@ main(int argc, char** argv)
                           static_cast<double>(none.cycles)
                     : 0.0;
     report.setTable(table);
-    report.setValidation(paperExpectations(none, pf, combined));
+    report.setValidation(paperExpectations(pf, combined));
     return report.finish() ? 0 : 1;
 }

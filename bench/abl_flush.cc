@@ -16,11 +16,15 @@ using namespace qei::bench;
 
 namespace {
 
-/** Fill the accelerator with @p nb in-flight NB queries and flush. */
+/**
+ * Fill the accelerator with @p nb in-flight NB queries and flush; the
+ * run is the telemetry cell "flush/<nb>-scattered" or "-packed".
+ */
 Cycles
 flushWith(World& world, SimLinkedList& list,
           const std::vector<Key>& keys, int nb, bool shared_line)
 {
+    metrics::CellCapture capture(world.traceSink);
     world.resetTiming();
     world.warmLlc();
     QeiSystem system(world.chip, world.events, world.hierarchy,
@@ -46,7 +50,10 @@ flushWith(World& world, SimLinkedList& list,
     }
     // Interrupt arrives while the queries are mid-flight.
     world.events.run(30);
-    return system.flushAll();
+    const Cycles cycles = system.flushAll();
+    capture.record(fmt("flush/{}-{}", nb,
+                       shared_line ? "packed" : "scattered"));
+    return cycles;
 }
 
 using validate::Expectation;
@@ -119,19 +126,12 @@ main(int argc, char** argv)
     TablePrinter table;
     table.header({"NB queries in QST", "flush cycles (scattered)",
                   "flush cycles (4 slots/line)"});
-    TraceCollector tracer(options.tracePath);
     Json points = Json::array();
     for (int nb : {0, 2, 4, 8, 10}) {
-        tracer.arm(world);
         const Cycles scattered =
             flushWith(world, list, keys, nb, /*shared_line=*/false);
-        tracer.collect("flush/" + std::to_string(nb) + "-scattered",
-                       world);
-        tracer.arm(world);
         const Cycles packed =
             flushWith(world, list, keys, nb, /*shared_line=*/true);
-        tracer.collect("flush/" + std::to_string(nb) + "-packed",
-                       world);
         table.row({std::to_string(nb),
                    std::to_string(scattered),
                    std::to_string(packed)});
@@ -150,6 +150,5 @@ main(int argc, char** argv)
     report.data()["sweep"] = std::move(points);
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
-    return report.finish() && traceOk ? 0 : 1;
+    return report.finish() ? 0 : 1;
 }

@@ -81,13 +81,10 @@ main(int argc, char** argv)
         schemesToRun.push_back(scheme);
     }
 
-    TraceCollector tracer(options.tracePath);
-
     struct ScalingResult
     {
         std::vector<std::string> row;
         Json s;
-        std::vector<std::pair<std::string, trace::TraceBuffer>> traces;
     };
 
     // One task per scheme; each builds its own world + prepared query
@@ -109,7 +106,7 @@ main(int argc, char** argv)
             for (int cores : {1, 4, 8, 16}) {
                 world.resetTiming();
                 world.warmLlc();
-                tracer.arm(world);
+                metrics::CellCapture capture(world.traceSink);
                 QeiSystem system(world.chip, world.events,
                                  world.hierarchy, world.vm,
                                  world.firmware, scheme,
@@ -118,12 +115,8 @@ main(int argc, char** argv)
                     prepared.jobs, cores, prepared.profile);
                 simAssert(stats.mismatches == 0, "mismatches on {}",
                           scheme.name());
-                if (tracer.enabled()) {
-                    result.traces.emplace_back(
-                        scheme.name() + "/" + std::to_string(cores) +
-                            "-cores",
-                        world.traceSink.drain());
-                }
+                capture.record(scheme.name() + "/" +
+                               std::to_string(cores) + "-cores");
                 row.push_back(
                     TablePrinter::num(stats.cyclesPerQuery(), 1));
                 if (cores == 1)
@@ -151,8 +144,6 @@ main(int argc, char** argv)
     for (auto& result : results) {
         table.row(result.row);
         schemes.push_back(std::move(result.s));
-        for (const auto& [label, buf] : result.traces)
-            tracer.add(label, buf);
     }
     table.print();
     std::printf("expectation: per-core / per-CHA schemes approach "
@@ -162,6 +153,5 @@ main(int argc, char** argv)
     report.data()["schemes"] = std::move(schemes);
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
-    return report.finish() && traceOk ? 0 : 1;
+    return report.finish() ? 0 : 1;
 }

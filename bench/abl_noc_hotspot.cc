@@ -77,14 +77,10 @@ main(int argc, char** argv)
     table.header({"scheme", "peak link util", "mean link util",
                   "NoC bytes/query"});
 
-    TraceCollector tracer(options.tracePath);
-
     struct HotspotResult
     {
         std::vector<std::string> row;
         Json s;
-        std::string name;
-        trace::TraceBuffer traceBuf;
     };
 
     // One task per scheme; each already built a fresh world, so the
@@ -98,13 +94,14 @@ main(int argc, char** argv)
             World world(42);
             jvm->build(world);
             const Prepared prepared = jvm->prepare(world, 1200);
-            tracer.arm(world);
-            const QeiRunStats stats = runQei(world, prepared, DriverConfig(scheme).withMode(QueryMode::NonBlocking).withPollBatch(120));
+            const QeiRunStats stats =
+                runQei(world, prepared,
+                       DriverConfig(scheme)
+                           .withMode(QueryMode::NonBlocking)
+                           .withPollBatch(120)
+                           .withLabel("jvm/" + scheme.name()));
 
             HotspotResult out;
-            out.name = scheme.name();
-            if (tracer.enabled())
-                out.traceBuf = world.traceSink.drain();
             out.row = {scheme.name(),
                        TablePrinter::percent(
                            world.hierarchy.mesh().peakLinkUtilisation()),
@@ -134,7 +131,6 @@ main(int argc, char** argv)
     for (auto& result : results) {
         table.row(result.row);
         schemes.push_back(std::move(result.s));
-        tracer.add("jvm/" + result.name, result.traceBuf);
     }
     table.print();
     std::printf("expectation: the single-stop Device schemes "
@@ -144,6 +140,5 @@ main(int argc, char** argv)
     report.data()["schemes"] = std::move(schemes);
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
-    return report.finish() && traceOk ? 0 : 1;
+    return report.finish() ? 0 : 1;
 }

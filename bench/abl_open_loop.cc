@@ -86,7 +86,6 @@ struct CellResult
     int loadPct;
     double meanGap; ///< offered inter-arrival gap, cycles
     QeiRunStats stats;
-    trace::TraceBuffer trace;
 };
 
 /** Self-anchored expectations: queueing shape, not absolute cycles. */
@@ -168,8 +167,6 @@ main(int argc, char** argv)
     };
     const std::vector<std::string> specNames{"dpdk", "jvm"};
 
-    TraceCollector tracer(options.tracePath);
-
     // Phase 1: calibrate each workload's closed-loop service rate.
     const auto gaps =
         parallelMap(options.threads, specs.size(),
@@ -197,7 +194,6 @@ main(int argc, char** argv)
             workload->build(world);
             const Prepared prep =
                 workload->prepare(world, spec.queries);
-            tracer.arm(world);
             const QeiRunStats stats = runQei(
                 world, prep,
                 DriverConfig(SchemeConfig::coreIntegrated())
@@ -206,10 +202,7 @@ main(int argc, char** argv)
                     .withTraffic(
                         std::make_shared<traffic::PoissonOpenLoop>(
                             meanGap, /*seed=*/1000 + c)));
-            CellResult out{loadPct, meanGap, stats, {}};
-            if (tracer.enabled())
-                out.trace = world.traceSink.drain();
-            return out;
+            return CellResult{loadPct, meanGap, stats};
         });
 
     TablePrinter table;
@@ -225,9 +218,6 @@ main(int argc, char** argv)
             const CellResult& cell = sweep[w * kLoadsPct.size() + l];
             const QeiRunStats& s = cell.stats;
             p99s.push_back(s.sojourn.p99);
-            tracer.add(specNames[w] + "/load-" +
-                           std::to_string(cell.loadPct),
-                       cell.trace);
             table.row({specNames[w],
                        std::to_string(cell.loadPct) + "%",
                        TablePrinter::num(cell.meanGap),
@@ -275,6 +265,5 @@ main(int argc, char** argv)
 
     report.setTable(table);
     report.setValidation(paperExpectations(knees));
-    const bool traceOk = tracer.write();
-    return report.finish() && traceOk ? 0 : 1;
+    return report.finish() ? 0 : 1;
 }

@@ -66,7 +66,6 @@ struct CellResult
 {
     std::string label;
     QeiRunStats stats;
-    trace::TraceBuffer trace;
 };
 
 /** dpdk and flann interleaved 1:1 in one World, plus the key-space
@@ -232,8 +231,6 @@ main(int argc, char** argv)
     specs.push_back({CellSpec::Kind::Shard, 0, 0, 8, false});
     specs.push_back({CellSpec::Kind::Shard, 0, 0, 8, true, 8});
 
-    TraceCollector tracer(options.tracePath);
-
     // Every cell builds its own World from the same seed, so results
     // are bit-identical at any --threads setting.
     auto sweep = parallelMap(
@@ -253,8 +250,6 @@ main(int argc, char** argv)
                 prep = workload->prepare(
                     world, queryCounts[spec.workloadIdx]);
             }
-            tracer.arm(world);
-
             CellResult out;
             DriverConfig config;
             switch (spec.kind) {
@@ -303,13 +298,8 @@ main(int argc, char** argv)
             }
             config.withLabel(out.label);
             out.stats = runQei(world, prep, config);
-            if (tracer.enabled())
-                out.trace = world.traceSink.drain();
             return out;
         });
-
-    for (const CellResult& cell : sweep)
-        tracer.add(cell.label, cell.trace);
 
     TablePrinter table;
     table.header({"section", "cell", "cyc/query", "vs best static",
@@ -494,6 +484,5 @@ main(int argc, char** argv)
 
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
-    return report.finish() && traceOk ? 0 : 1;
+    return report.finish() ? 0 : 1;
 }

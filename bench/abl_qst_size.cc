@@ -79,13 +79,10 @@ main(int argc, char** argv)
 
     const std::vector<int> sizes{2, 5, 10, 20, 40};
 
-    TraceCollector tracer(options.tracePath);
-
     struct SweepPoint
     {
         double jvmSpeedup, jvmOccupancy;
         double dpdkSpeedup, dpdkOccupancy;
-        trace::TraceBuffer jvmTrace, dpdkTrace;
     };
 
     // One task per QST size; each builds private jvm/dpdk worlds from
@@ -94,6 +91,7 @@ main(int argc, char** argv)
         options.threads, sizes.size(),
         [&](std::size_t i) -> SweepPoint {
             const int entries = sizes[i];
+            const std::string qst = "/qst-" + std::to_string(entries);
             SchemeConfig scheme = SchemeConfig::coreIntegrated();
             scheme.qstEntries = entries;
             auto workloads = makeAllWorkloads();
@@ -101,39 +99,27 @@ main(int argc, char** argv)
             World jvmWorld(42);
             workloads[1]->build(jvmWorld);
             const Prepared jvmPrep = workloads[1]->prepare(jvmWorld, 800);
-            const CoreRunResult jvmBase =
-                runBaseline(jvmWorld, jvmPrep);
-            tracer.arm(jvmWorld);
+            const CoreRunResult jvmBase = runBaseline(
+                jvmWorld, jvmPrep, 0, "jvm" + qst + "/baseline");
             const QeiRunStats jvmStats =
-                runQei(jvmWorld, jvmPrep, DriverConfig(scheme));
+                runQei(jvmWorld, jvmPrep,
+                       DriverConfig(scheme).withLabel("jvm" + qst));
 
             World dpdkWorld(43);
             workloads[0]->build(dpdkWorld);
             const Prepared dpdkPrep =
                 workloads[0]->prepare(dpdkWorld, 1500);
-            const CoreRunResult dpdkBase =
-                runBaseline(dpdkWorld, dpdkPrep);
-            tracer.arm(dpdkWorld);
+            const CoreRunResult dpdkBase = runBaseline(
+                dpdkWorld, dpdkPrep, 0, "dpdk" + qst + "/baseline");
             const QeiRunStats dpdkStats =
-                runQei(dpdkWorld, dpdkPrep, DriverConfig(scheme));
+                runQei(dpdkWorld, dpdkPrep,
+                       DriverConfig(scheme).withLabel("dpdk" + qst));
 
-            SweepPoint point{speedupOf(jvmBase, jvmStats),
-                             jvmStats.avgQstOccupancy / entries,
-                             speedupOf(dpdkBase, dpdkStats),
-                             dpdkStats.avgQstOccupancy / entries,
-                             {},
-                             {}};
-            if (tracer.enabled()) {
-                point.jvmTrace = jvmWorld.traceSink.drain();
-                point.dpdkTrace = dpdkWorld.traceSink.drain();
-            }
-            return point;
+            return SweepPoint{speedupOf(jvmBase, jvmStats),
+                              jvmStats.avgQstOccupancy / entries,
+                              speedupOf(dpdkBase, dpdkStats),
+                              dpdkStats.avgQstOccupancy / entries};
         });
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        const std::string entries = std::to_string(sizes[i]);
-        tracer.add("jvm/qst-" + entries, sweep[i].jvmTrace);
-        tracer.add("dpdk/qst-" + entries, sweep[i].dpdkTrace);
-    }
 
     Json points = Json::array();
     for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -160,6 +146,5 @@ main(int argc, char** argv)
     report.data()["sweep"] = std::move(points);
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
-    return report.finish() && traceOk ? 0 : 1;
+    return report.finish() ? 0 : 1;
 }

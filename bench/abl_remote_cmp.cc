@@ -81,14 +81,10 @@ main(int argc, char** argv)
     table.header({"workload", "key bytes", "with remote cmp",
                   "local only", "remote compares/query"});
 
-    TraceCollector tracer(options.tracePath);
-
     struct AblResult
     {
         std::vector<std::string> row;
         Json w;
-        std::string name;
-        trace::TraceBuffer remoteTrace, localTrace;
     };
 
     // One task per workload, each with a private world.
@@ -101,23 +97,21 @@ main(int argc, char** argv)
             workload->build(world);
             const Prepared prepared =
                 workload->prepare(world, workload->defaultQueries());
-            const CoreRunResult baseline = runBaseline(world, prepared);
+            const std::string name = workload->name();
+            const CoreRunResult baseline =
+                runBaseline(world, prepared, 0, name + "/baseline");
 
             SchemeConfig remote = SchemeConfig::coreIntegrated();
             SchemeConfig local = SchemeConfig::coreIntegrated();
             local.remoteComparators = false;
 
             AblResult out;
-            out.name = workload->name();
-            tracer.arm(world);
-            const QeiRunStats withRemote =
-                runQei(world, prepared, DriverConfig(remote));
-            if (tracer.enabled())
-                out.remoteTrace = world.traceSink.drain();
-            tracer.arm(world);
-            const QeiRunStats localOnly = runQei(world, prepared, DriverConfig(local));
-            if (tracer.enabled())
-                out.localTrace = world.traceSink.drain();
+            const QeiRunStats withRemote = runQei(
+                world, prepared,
+                DriverConfig(remote).withLabel(name + "/remote-cmp"));
+            const QeiRunStats localOnly = runQei(
+                world, prepared,
+                DriverConfig(local).withLabel(name + "/local-only"));
 
             // Key length from the first job's header.
             const StructHeader h = StructHeader::readFrom(
@@ -150,8 +144,6 @@ main(int argc, char** argv)
     for (auto& result : results) {
         table.row(result.row);
         workloads.push_back(std::move(result.w));
-        tracer.add(result.name + "/remote-cmp", result.remoteTrace);
-        tracer.add(result.name + "/local-only", result.localTrace);
     }
     table.print();
     std::printf("expectation: long-key workloads (rocksdb 100B) "
@@ -161,6 +153,5 @@ main(int argc, char** argv)
     report.data()["workloads"] = std::move(workloads);
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
-    return report.finish() && traceOk ? 0 : 1;
+    return report.finish() ? 0 : 1;
 }

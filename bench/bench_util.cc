@@ -1,5 +1,6 @@
 #include "bench_util.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdint>
@@ -102,6 +103,59 @@ collectCellWalls(const Json& node, const std::string& prefix,
             ++idx;
         }
     }
+}
+
+/** Write @p text to @p path; false (with a message) on failure. */
+bool
+writeFile(const std::string& path, const std::string& text)
+{
+    std::ofstream out(path);
+    if (out) {
+        out << text;
+        out.flush();
+    }
+    if (!out) {
+        std::fprintf(stderr, "failed to write %s\n", path.c_str());
+        return false;
+    }
+    return true;
+}
+
+/**
+ * Write the traced @p cells: one merged Perfetto file at @p path (one
+ * process per cell) plus one file per cell at
+ * `<stem>.<label with '/' -> '.'>.json`, where `<stem>` is @p path
+ * without its `.json`. @return false on I/O failure.
+ */
+bool
+writeTraces(const std::string& path,
+            const std::map<std::string, metrics::Recorder::Cell>& cells)
+{
+    const std::string stem =
+        path.ends_with(".json") ? path.substr(0, path.size() - 5) : path;
+    Json merged = Json::array();
+    int pid = 1;
+    bool ok = true;
+    for (const auto& [label, cell] : cells) {
+        if (!cell.trace)
+            continue;
+        trace::appendPerfettoEvents(merged, *cell.trace, pid++, label);
+        std::string file = label;
+        std::replace(file.begin(), file.end(), '/', '.');
+        ok = writeFile(stem + "." + file + ".json",
+                       trace::perfettoJson(*cell.trace, label).dump() +
+                           '\n') &&
+             ok;
+    }
+    Json doc = Json::object();
+    doc["traceEvents"] = std::move(merged);
+    doc["displayTimeUnit"] = "ms";
+    ok = writeFile(path, doc.dump() + '\n') && ok;
+    if (ok) {
+        std::printf("wrote %s (+%d per-cell traces)\n", path.c_str(),
+                    pid - 1);
+    }
+    return ok;
 }
 
 /**
@@ -337,13 +391,13 @@ parseBenchArgs(int argc, char** argv)
         ::setenv("QEI_PLANNER", options.plannerMode.c_str(), 1);
     }
 
-    if (!options.metricsPath.empty()) {
-        // Same pattern as QEI_FAULTS: flip the process-wide switch
-        // here on the main thread, before any matrix fan-out, so
-        // worker-thread runQei() calls only read it.
-        metrics::loadRuntimeConfigFromEnv();
-        metrics::runtimeConfig().enabled = true;
-    }
+    // Same pattern as QEI_FAULTS: flip the process-wide telemetry
+    // switches here on the main thread, before any fan-out, so
+    // worker-thread runs only read them.
+    if (!options.metricsPath.empty())
+        metrics::runtimeConfig().sample = true;
+    if (!options.tracePath.empty())
+        metrics::runtimeConfig().trace = true;
     return options;
 }
 
@@ -452,40 +506,25 @@ BenchReport::finish()
     std::printf("host wall time: %.1f ms (threads=%d)\n", wallMs,
                 options_.threads);
 
-    // Render the process-wide Recorder to the --metrics CSV and clear
-    // it, so back-to-back reports in one process don't leak runs into
-    // each other's files.
+    // Render the process-wide Recorder to the --metrics CSV and the
+    // --trace files, then empty it, so back-to-back reports in one
+    // process don't leak cells into each other's files.
+    metrics::Recorder& recorder = metrics::Recorder::global();
+    bool telemetryOk = true;
     if (!options_.metricsPath.empty()) {
-        metrics::Recorder& recorder = metrics::Recorder::global();
-        std::ofstream csv(options_.metricsPath);
-        if (csv) {
-            csv << recorder.csv();
-            csv.flush();
-        }
-        if (!csv) {
-            std::fprintf(stderr, "failed to write %s\n",
-                         options_.metricsPath.c_str());
-            recorder.clear();
-            return false;
-        }
-        std::printf("wrote %s (%zu sampled runs)\n",
-                    options_.metricsPath.c_str(), recorder.size());
-        recorder.clear();
+        telemetryOk = writeFile(options_.metricsPath, recorder.csv());
+        if (telemetryOk)
+            std::printf("wrote %s\n", options_.metricsPath.c_str());
     }
+    const auto cells = recorder.drain();
+    if (!options_.tracePath.empty())
+        telemetryOk = writeTraces(options_.tracePath, cells) && telemetryOk;
     if (!enabled())
-        return validationOk;
-    std::ofstream out(options_.jsonPath);
-    if (out) {
-        out << root_.dump(2) << '\n';
-        out.flush();
-    }
-    if (!out) {
-        std::fprintf(stderr, "failed to write %s\n",
-                     options_.jsonPath.c_str());
+        return validationOk && telemetryOk;
+    if (!writeFile(options_.jsonPath, root_.dump(2) + '\n'))
         return false;
-    }
     std::printf("wrote %s\n", options_.jsonPath.c_str());
-    return validationOk;
+    return validationOk && telemetryOk;
 }
 
 namespace {
@@ -498,7 +537,6 @@ struct CellResult
     Prepared prepared;
     QeiRunStats stats;
     ChipActivity activity;
-    trace::TraceBuffer traceBuf;
     double wallMs = 0.0;
 };
 
@@ -513,8 +551,6 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
     // deterministic.
     const std::size_t stride = 1 + options.topologies.size();
     const std::size_t cellCount = workloads.size() * stride;
-    const bool armTrace =
-        options.captureTrace || !options.tracePath.empty();
 
     auto runCell = [&](std::size_t index) -> CellResult {
         const auto start = Clock::now();
@@ -534,18 +570,9 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
                                   : options.queries;
         out.prepared = workload->prepare(world, n);
 
-        // Arm after build/prepare so the timeline covers only the
-        // measured region. The sink is this cell's private World
-        // member, so capture stays race-free under any --threads.
-        if (armTrace) {
-            world.traceSink.enable(
-                options.traceCapacity
-                    ? options.traceCapacity
-                    : trace::TraceSink::kDefaultCapacity);
-        }
-
         if (s == 0) {
-            out.baseline = runBaseline(world, out.prepared);
+            out.baseline = runBaseline(world, out.prepared, 0,
+                                       out.workloadName + "/baseline");
         } else {
             const Topology& topo = options.topologies[s - 1];
             // Cost-model class for this cell; Inherit mode means the
@@ -562,8 +589,6 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
                     .withPlanner(plannerCfg));
         }
         out.activity = ChipActivity::capture(world.hierarchy);
-        if (armTrace)
-            out.traceBuf = world.traceSink.drain();
         out.wallMs = msSince(start);
         return out;
     };
@@ -582,135 +607,17 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
         run.activity["baseline"] = base.activity;
         run.cellWallMs["baseline"] = base.wallMs;
         run.hostWallMs = base.wallMs;
-        if (armTrace)
-            run.traces["baseline"] = std::move(base.traceBuf);
         for (std::size_t s = 0; s < options.topologies.size(); ++s) {
             CellResult& cell = cells[w * stride + 1 + s];
             const std::string name = options.topologies[s].name();
             run.schemes[name] = cell.stats;
             run.activity[name] = cell.activity;
-            if (armTrace)
-                run.traces[name] = std::move(cell.traceBuf);
             run.cellWallMs[name] = cell.wallMs;
             run.hostWallMs += cell.wallMs;
         }
         runs.push_back(std::move(run));
     }
-
-    if (!options.tracePath.empty())
-        writeMatrixTraces(runs, options.tracePath);
     return runs;
-}
-
-namespace {
-
-/** `out.json` -> `out`; other paths pass through unchanged. */
-std::string
-traceStem(const std::string& path)
-{
-    constexpr const char* kExt = ".json";
-    constexpr std::size_t kExtLen = 5;
-    if (path.size() > kExtLen &&
-        path.compare(path.size() - kExtLen, kExtLen, kExt) == 0)
-        return path.substr(0, path.size() - kExtLen);
-    return path;
-}
-
-bool
-writeJsonFile(const std::string& path, const Json& doc)
-{
-    std::ofstream out(path);
-    if (out) {
-        out << doc.dump() << '\n';
-        out.flush();
-    }
-    if (!out) {
-        std::fprintf(stderr, "failed to write %s\n", path.c_str());
-        return false;
-    }
-    return true;
-}
-
-} // namespace
-
-bool
-writeMatrixTraces(const std::vector<WorkloadRun>& runs,
-                  const std::string& path)
-{
-    const std::string stem = traceStem(path);
-    Json merged = Json::array();
-    int pid = 1;
-    bool ok = true;
-    std::size_t files = 0;
-    for (const auto& run : runs) {
-        for (const auto& [label, buf] : run.traces) {
-            const std::string process = run.name + "/" + label;
-            trace::appendPerfettoEvents(merged, buf, pid, process);
-            ++pid;
-            ok = writeJsonFile(stem + "." + run.name + "." + label +
-                                   ".json",
-                               trace::perfettoJson(buf, process)) &&
-                 ok;
-            ++files;
-        }
-    }
-    Json doc = Json::object();
-    doc["traceEvents"] = std::move(merged);
-    doc["displayTimeUnit"] = "ms";
-    ok = writeJsonFile(path, doc) && ok;
-    if (ok) {
-        std::printf("wrote %s (+%zu per-cell traces)\n", path.c_str(),
-                    files);
-    }
-    return ok;
-}
-
-TraceCollector::TraceCollector(std::string trace_path,
-                               std::size_t capacity)
-    : path_(std::move(trace_path)), capacity_(capacity)
-{
-}
-
-void
-TraceCollector::arm(World& world)
-{
-    if (!enabled())
-        return;
-    world.traceSink.enable(capacity_ ? capacity_
-                                     : trace::TraceSink::kDefaultCapacity);
-}
-
-void
-TraceCollector::collect(const std::string& label, World& world)
-{
-    if (!enabled())
-        return;
-    add(label, world.traceSink.drain());
-}
-
-void
-TraceCollector::add(const std::string& label,
-                    const trace::TraceBuffer& buf)
-{
-    if (!enabled())
-        return;
-    trace::appendPerfettoEvents(events_, buf, nextPid_, label);
-    ++nextPid_;
-}
-
-bool
-TraceCollector::write()
-{
-    if (!enabled())
-        return true;
-    Json doc = Json::object();
-    doc["traceEvents"] = std::move(events_);
-    doc["displayTimeUnit"] = "ms";
-    events_ = Json::array();
-    if (!writeJsonFile(path_, doc))
-        return false;
-    std::printf("wrote %s\n", path_.c_str());
-    return true;
 }
 
 Json
@@ -884,8 +791,10 @@ calibrateServiceGap(std::size_t workload_idx, std::uint64_t seed,
     World world(seed);
     workload->build(world);
     const Prepared prep = workload->prepare(world, queries);
-    const QeiRunStats closed = runQei(
-        world, prep, DriverConfig(SchemeConfig::coreIntegrated()));
+    const QeiRunStats closed =
+        runQei(world, prep,
+               DriverConfig(SchemeConfig::coreIntegrated())
+                   .withLabel("calibrate/" + workload->name()));
     return static_cast<double>(closed.cycles) /
            static_cast<double>(closed.queries);
 }

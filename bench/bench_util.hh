@@ -25,7 +25,6 @@
 #include "common/table_printer.hh"
 #include "common/thread_pool.hh"
 #include "power/energy_model.hh"
-#include "trace/trace.hh"
 #include "validate/expectation.hh"
 #include "workloads/workload.hh"
 
@@ -37,9 +36,10 @@ struct BenchOptions
     /** Destination of the JSON artifact; empty = text output only. */
     std::string jsonPath;
     /**
-     * Destination of the Perfetto timeline (`--trace <path>`); empty
-     * disables trace capture. Matrix harnesses additionally write one
-     * file per cell next to it.
+     * Destination of the merged Perfetto timeline (`--trace <path>`);
+     * non-empty enables trace capture of every simulated cell, and
+     * each cell also gets `<stem>.<label>.json` next to it (see
+     * BenchReport::finish). Empty — the default — captures nothing.
      */
     std::string tracePath;
     /**
@@ -125,8 +125,11 @@ BenchOptions parseBenchArgs(int argc, char** argv);
  * `sim_events` / `sim_events_per_sec` and every per-cell
  * `host_wall_ms` found in the payload), aggregates every per-run
  * `breakdown` found in the payload into a top-level `breakdown`,
- * writes the Recorder's metrics CSV to the `--metrics` path, and
- * writes the artifact to the `--json` path, if one was given.
+ * writes the metrics::Recorder's cells — the CSV to the `--metrics`
+ * path; the merged Perfetto file to the `--trace` path plus one file
+ * per cell at `<stem>.<label with '/' -> '.'>.json`, all ordered by
+ * label — and writes the artifact to the `--json` path, if one was
+ * given.
  */
 class BenchReport
 {
@@ -185,9 +188,6 @@ struct WorkloadRun
     /** Activity deltas for the energy model, keyed like `schemes`,
      *  plus "baseline". */
     std::map<std::string, ChipActivity> activity;
-    /** Drained timeline events, keyed like `activity`; only populated
-     *  when the matrix armed trace capture. */
-    std::map<std::string, trace::TraceBuffer> traces;
     /** Host wall time of each cell, keyed like `activity`. */
     std::map<std::string, double> cellWallMs;
     /** Summed host wall time of this workload's cells. */
@@ -232,17 +232,6 @@ struct MatrixOptions
     BatchConfig batch;
     /** Host threads; 1 runs every cell inline on this thread. */
     int threads = 1;
-    /**
-     * Merged Perfetto timeline destination; per-cell files are written
-     * next to it as `<stem>.<workload>.<scheme>.json`. Non-empty
-     * implies trace capture.
-     */
-    std::string tracePath;
-    /** Capture per-cell TraceBuffers into WorkloadRun::traces even
-     *  without a tracePath (tests compare event counts). */
-    bool captureTrace = false;
-    /** Ring capacity when armed; 0 = TraceSink::kDefaultCapacity. */
-    std::size_t traceCapacity = 0;
 };
 
 /**
@@ -251,7 +240,8 @@ struct MatrixOptions
  * min(threads, cells) host threads. Every cell constructs its own
  * World/Workload/QeiSystem from the same seed, so the returned runs
  * are bit-identical to the serial path at any thread count; results
- * come back in (workload, topology) order.
+ * come back in (workload, topology) order. Cells are labelled
+ * "workload/topology" and "workload/baseline" for telemetry.
  */
 std::vector<WorkloadRun> runWorkloadMatrix(
     const std::vector<WorkloadFactory>& workloads,
@@ -265,63 +255,11 @@ std::vector<std::string> schemeNames();
  * @p workload_idx (a makeWorkloadFactories() index) on a World seeded
  * @p seed with @p queries queries: the saturation service rate the
  * open-loop load sweeps are anchored to. Deterministic in its
- * arguments, so every host thread computes the same gap.
+ * arguments, so every host thread computes the same gap. The run is
+ * the telemetry cell "calibrate/<workload>".
  */
 double calibrateServiceGap(std::size_t workload_idx,
                            std::uint64_t seed, std::size_t queries);
-
-/**
- * Trace capture for harnesses that drive Worlds by hand (the latency
- * sweeps and ablations, which don't go through runWorkloadMatrix):
- *
- *   TraceCollector tracer(options.tracePath);
- *   tracer.arm(world);                 // before the timed region
- *   ... run the experiment ...
- *   tracer.collect("dpdk/qei-l2", world);  // drains the sink
- *   ...
- *   tracer.write();                    // one merged Perfetto file
- *
- * All methods are no-ops when no trace path was given, so harness
- * code stays unconditional.
- */
-class TraceCollector
-{
-  public:
-    explicit TraceCollector(std::string trace_path,
-                            std::size_t capacity = 0);
-
-    bool enabled() const { return !path_.empty(); }
-
-    /** Enable (or re-arm) @p world's sink for the next run. */
-    void arm(World& world);
-
-    /** Drain @p world's sink as the Perfetto process @p label. */
-    void collect(const std::string& label, World& world);
-
-    /**
-     * Merge an already-drained buffer as the process @p label. For
-     * harnesses that fan tasks over parallelMap: drain inside the
-     * task (the sink is task-private), add serially afterwards.
-     */
-    void add(const std::string& label, const trace::TraceBuffer& buf);
-
-    /** Write the merged timeline. @return false on I/O failure. */
-    bool write();
-
-  private:
-    std::string path_;
-    std::size_t capacity_;
-    Json events_ = Json::array();
-    int nextPid_ = 1;
-};
-
-/**
- * Write one Perfetto file merging every captured cell of @p runs (one
- * Perfetto process per cell) to @p path, plus one file per cell at
- * `<stem>.<workload>.<scheme>.json`. @return false on I/O failure.
- */
-bool writeMatrixTraces(const std::vector<WorkloadRun>& runs,
-                       const std::string& path);
 
 // -- JSON views of the result structs, for BenchReport payloads --
 

@@ -100,7 +100,6 @@ main(int argc, char** argv)
     MatrixOptions matrix;
     matrix.topologies = {};
     matrix.threads = options.threads;
-    matrix.tracePath = options.tracePath;
     for (const WorkloadRun& run :
          runWorkloadMatrix(makeWorkloadFactories(), matrix)) {
         const RoiProfile& profile = run.prepared.profile;

@@ -114,7 +114,6 @@ main(int argc, char** argv)
 
     MatrixOptions matrix;
     matrix.threads = options.threads;
-    matrix.tracePath = options.tracePath;
 
     Json workloads = Json::array();
     double geoProd = 1.0;

@@ -103,13 +103,10 @@ main(int argc, char** argv)
     {
         std::vector<std::string> row;
         Json w;
-        std::vector<std::pair<std::string, trace::TraceBuffer>> traces;
         std::string name;
         bool monotonic = true;
         double retention = 0.0; ///< speedup@2000 / speedup@50
     };
-
-    TraceCollector tracer(options.tracePath);
 
     // One task per workload: each owns a private world; the sweep
     // reruns the same queries on it.
@@ -122,7 +119,8 @@ main(int argc, char** argv)
             workload->build(world);
             const Prepared prepared =
                 workload->prepare(world, workload->defaultQueries());
-            const CoreRunResult baseline = runBaseline(world, prepared);
+            const CoreRunResult baseline = runBaseline(
+                world, prepared, 0, workload->name() + "/baseline");
 
             SweepResult result;
             result.name = workload->name();
@@ -133,13 +131,11 @@ main(int argc, char** argv)
             double last = 0.0;
             bool haveFirst = false;
             for (Cycles c : sweep) {
-                tracer.arm(world);
-                const QeiRunStats stats = runQei(world, prepared, DriverConfig(SchemeConfig::deviceIndirect(c)));
-                if (tracer.enabled()) {
-                    result.traces.emplace_back(
-                        workload->name() + "/dev-" + std::to_string(c),
-                        world.traceSink.drain());
-                }
+                const QeiRunStats stats = runQei(
+                    world, prepared,
+                    DriverConfig(SchemeConfig::deviceIndirect(c))
+                        .withLabel(workload->name() + "/dev-" +
+                                   std::to_string(c)));
                 const double speedup = speedupOf(baseline, stats);
                 if (!haveFirst) {
                     first = speedup;
@@ -174,8 +170,6 @@ main(int argc, char** argv)
     for (auto& result : results) {
         table.row(result.row);
         workloads.push_back(std::move(result.w));
-        for (const auto& [label, buf] : result.traces)
-            tracer.add(label, buf);
         allMonotonic = allMonotonic && result.monotonic;
         if (result.name == "dpdk")
             dpdkRetention = result.retention;
@@ -191,6 +185,5 @@ main(int argc, char** argv)
     report.setTable(table);
     report.setValidation(paperExpectations(allMonotonic, dpdkRetention,
                                            flannRetention));
-    const bool traceOk = tracer.write();
-    return report.finish() && traceOk ? 0 : 1;
+    return report.finish() ? 0 : 1;
 }

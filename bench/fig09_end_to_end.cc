@@ -102,7 +102,6 @@ main(int argc, char** argv)
     matrix.topologies = {SchemeConfig::chaTlb(), SchemeConfig::chaNoTlb(),
                       SchemeConfig::coreIntegrated()};
     matrix.threads = options.threads;
-    matrix.tracePath = options.tracePath;
 
     Json workloads = Json::array();
     for (const WorkloadRun& run :

@@ -150,14 +150,10 @@ main(int argc, char** argv)
     const auto schemes = SchemeConfig::allSchemes();
     const std::size_t stride = 1 + schemes.size();
 
-    TraceCollector tracer(options.tracePath);
-
     struct CellOut
     {
         CoreRunResult baseline;
         QeiRunStats stats;
-        std::string traceLabel;
-        trace::TraceBuffer traceBuf;
     };
     auto cells = parallelMap(
         options.threads, tupleCounts.size() * stride,
@@ -169,24 +165,21 @@ main(int argc, char** argv)
             SimTupleSpace space(world.vm, tuples, 4096, 16, world.rng);
             TupleSetup setup = makeSetup(world, space, 120);
 
+            const std::string cell = std::to_string(tuples) + "-tuples/";
             CellOut out;
-            tracer.arm(world);
             if (s == 0) {
-                out.baseline = runBaseline(world, setup.prepared);
-                out.traceLabel = "baseline";
+                out.baseline = runBaseline(world, setup.prepared, 0,
+                                           cell + "baseline");
             } else {
-                out.stats =
-                    runQei(world, setup.prepared, DriverConfig(schemes[s - 1]).withMode(QueryMode::NonBlocking).withPollBatch(32 * tuples));
-                out.traceLabel = schemes[s - 1].name();
+                out.stats = runQei(
+                    world, setup.prepared,
+                    DriverConfig(schemes[s - 1])
+                        .withMode(QueryMode::NonBlocking)
+                        .withPollBatch(32 * tuples)
+                        .withLabel(cell + schemes[s - 1].name()));
             }
-            out.traceLabel =
-                std::to_string(tuples) + "-tuples/" + out.traceLabel;
-            if (tracer.enabled())
-                out.traceBuf = world.traceSink.drain();
             return out;
         });
-    for (const CellOut& cell : cells)
-        tracer.add(cell.traceLabel, cell.traceBuf);
 
     Json points = Json::array();
     std::uint64_t totalMismatches = 0;
@@ -228,6 +221,5 @@ main(int argc, char** argv)
                 "Device schemes recover versus blocking mode; "
                 "Core-integrated limited by its 10-entry QST at high "
                 "tuple counts but competitive at low ones\n");
-    const bool traceOk = tracer.write();
-    return report.finish() && traceOk ? 0 : 1;
+    return report.finish() ? 0 : 1;
 }

@@ -72,7 +72,6 @@ main(int argc, char** argv)
     MatrixOptions matrix;
     matrix.topologies = {SchemeConfig::coreIntegrated()};
     matrix.threads = options.threads;
-    matrix.tracePath = options.tracePath;
 
     Json workloads = Json::array();
     for (const WorkloadRun& run :

@@ -106,7 +106,6 @@ main(int argc, char** argv)
 
     MatrixOptions matrix;
     matrix.threads = options.threads;
-    matrix.tracePath = options.tracePath;
 
     Json workloads = Json::array();
     for (const WorkloadRun& run :

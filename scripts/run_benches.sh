@@ -10,8 +10,10 @@
 #            [threads]
 #   --trace-dir DIR  also capture Perfetto timelines: each harness gets
 #                    --trace DIR/TRACE_<name>.json (merged file, plus
-#                    per-cell files next to it); load them at
-#                    https://ui.perfetto.dev
+#                    one TRACE_<name>.<cell label>.json per simulated
+#                    cell next to it; the tab* harnesses simulate
+#                    nothing and write an empty merged file); load
+#                    them at https://ui.perfetto.dev
 #   --metrics-dir DIR  also sample time-series metrics: each harness
 #                    gets --metrics DIR/METRICS_<name>.csv (see
 #                    docs/observability.md)

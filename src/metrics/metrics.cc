@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <utility>
+
+#include "common/logging.hh"
 
 namespace qei::metrics {
 
@@ -340,27 +342,6 @@ runtimeConfig()
     return config;
 }
 
-void
-loadRuntimeConfigFromEnv()
-{
-    RuntimeConfig& config = runtimeConfig();
-    if (const char* env = std::getenv("QEI_METRICS_INTERVAL")) {
-        const auto v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            config.sampler.intervalCycles = v;
-    }
-    if (const char* env = std::getenv("QEI_METRICS_WINDOW")) {
-        const auto v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            config.sampler.window = static_cast<std::size_t>(v);
-    }
-    if (const char* env = std::getenv("QEI_METRICS_SLO")) {
-        const double v = std::strtod(env, nullptr);
-        if (v > 0.0)
-            config.sampler.sloSojournP99 = v;
-    }
-}
-
 Recorder&
 Recorder::global()
 {
@@ -369,42 +350,59 @@ Recorder::global()
 }
 
 void
-Recorder::add(std::string cell, RunSeries series)
+Recorder::add(const std::string& label, Cell cell)
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    runs_.emplace_back(std::move(cell), std::move(series));
+    bool inserted = false;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        inserted = cells_.emplace(label, std::move(cell)).second;
+    }
+    if (!inserted) {
+        fatal("telemetry cell '{}' recorded twice: every simulated "
+              "run needs a label unique in the process",
+              label);
+    }
 }
 
 std::string
 Recorder::csv() const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<const std::pair<std::string, RunSeries>*> sorted;
-    sorted.reserve(runs_.size());
-    for (const auto& run : runs_)
-        sorted.push_back(&run);
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const auto* a, const auto* b) {
-                         return a->first < b->first;
-                     });
     std::string out = "cell,series,kind,tick,value\n";
-    for (const auto* run : sorted)
-        run->second.appendCsv(out, run->first);
+    for (const auto& [label, cell] : cells_) {
+        if (cell.series)
+            cell.series->appendCsv(out, label);
+    }
     return out;
 }
 
-std::size_t
-Recorder::size() const
+std::map<std::string, Recorder::Cell>
+Recorder::drain()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return runs_.size();
+    return std::exchange(cells_, {});
+}
+
+CellCapture::CellCapture(trace::TraceSink& sink) : sink_(sink)
+{
+    if (runtimeConfig().trace)
+        sink_.enable();
 }
 
 void
-Recorder::clear()
+CellCapture::record(const std::string& label, const RunSeries* series)
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    runs_.clear();
+    const RuntimeConfig& config = runtimeConfig();
+    if (!config.sample && !config.trace)
+        return;
+    Recorder::Cell cell;
+    if (series != nullptr)
+        cell.series = *series;
+    if (config.trace) {
+        cell.trace = sink_.drain();
+        sink_.disable();
+    }
+    Recorder::global().add(label, std::move(cell));
 }
 
 } // namespace qei::metrics

@@ -33,8 +33,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -224,7 +226,7 @@ struct RunSeries
     void appendCsv(std::string& out, const std::string& cell) const;
 };
 
-/** Sampler knobs (see runtimeConfig() for the env overrides). */
+/** Sampler knobs; runs under `--metrics` use the defaults. */
 struct SamplerConfig
 {
     /** Simulated cycles between samples. */
@@ -369,48 +371,75 @@ active(const MetricsSampler* sampler)
 }
 
 /**
- * Process-wide runtime switches, the QEI_FAULTS pattern: set once on
- * the main thread by parseBenchArgs (from `--metrics` and the
- * QEI_METRICS_INTERVAL / QEI_METRICS_WINDOW / QEI_METRICS_SLO
- * environment knobs) before any matrix fan-out; worker threads only
- * read it. Defaults to disabled, so runs without --metrics arm no
- * sampler at all.
+ * Process-wide telemetry switches, the QEI_FAULTS pattern: set once on
+ * the main thread by parseBenchArgs (`--metrics` turns on sampling,
+ * `--trace` turns on trace capture) before any matrix fan-out; worker
+ * threads only read them. Both default off, so a run without either
+ * flag arms no sampler, records no trace and adds no Recorder cell.
  */
 struct RuntimeConfig
 {
-    bool enabled = false;
+    bool sample = false;
+    bool trace = false;
     SamplerConfig sampler;
 };
 
 RuntimeConfig& runtimeConfig();
 
-/** Re-read the environment knobs into runtimeConfig().sampler. */
-void loadRuntimeConfigFromEnv();
-
 /**
- * Thread-safe process-wide collector of per-run series for the
- * harness CSV: every runQei() with sampling enabled adds its drained
- * RunSeries under the run's cell label; BenchReport::finish() renders
- * csv() to the `--metrics` path and clears. Rows are sorted by
- * (cell, series, tick), so the file is deterministic at any --threads
- * as long as cell labels are unique.
+ * Thread-safe process-wide record of every simulated cell's
+ * telemetry, keyed by a label unique in the process: each cell holds
+ * its sampled RunSeries (under `--metrics`) and its drained
+ * TraceBuffer (under `--trace`). BenchReport::finish() renders the
+ * CSV and the Perfetto files from it, ordered by label, so both are
+ * byte-identical at any --threads. Recording a label twice is fatal:
+ * two cells under one label would make that order depend on the
+ * thread schedule.
  */
 class Recorder
 {
   public:
+    struct Cell
+    {
+        std::optional<RunSeries> series;
+        std::optional<trace::TraceBuffer> trace;
+    };
+
     static Recorder& global();
 
-    void add(std::string cell, RunSeries series);
+    /** Record cell @p label; fatal when @p label was recorded. */
+    void add(const std::string& label, Cell cell);
 
     /** `cell,series,kind,tick,value` rows under a header line. */
     std::string csv() const;
 
-    std::size_t size() const;
-    void clear();
+    /** Move every cell out, ordered by label, and start empty. */
+    std::map<std::string, Cell> drain();
 
   private:
     mutable std::mutex mutex_;
-    std::vector<std::pair<std::string, RunSeries>> runs_;
+    std::map<std::string, Cell> cells_;
+};
+
+/**
+ * One simulated cell's path to the Recorder, shared by every run
+ * (runQei, runBaseline, and harnesses that drive a QeiSystem by
+ * hand): construct it before the measured region, which enables
+ * @p sink under `--trace`, and call record() after it, which drains
+ * and disables the sink and records the cell. Both are no-ops unless
+ * `--trace` or `--metrics` is on.
+ */
+class CellCapture
+{
+  public:
+    explicit CellCapture(trace::TraceSink& sink);
+
+    /** Record the cell as @p label, with @p series when sampled. */
+    void record(const std::string& label,
+                const RunSeries* series = nullptr);
+
+  private:
+    trace::TraceSink& sink_;
 };
 
 } // namespace qei::metrics

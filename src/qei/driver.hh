@@ -177,10 +177,11 @@ struct DriverConfig
     /** When non-null, receives the full post-run stats dump. */
     std::string* statsJsonOut = nullptr;
     /**
-     * Cell label for telemetry (the metrics CSV's first column);
-     * empty falls back to the topology name. Matrix runners label
-     * cells "workload/topology" so CSV rows stay unique and the file
-     * deterministic at any --threads.
+     * Cell label for telemetry: the metrics CSV's first column and
+     * the Perfetto process name. Empty falls back to the topology
+     * name. Under `--trace` / `--metrics` a label must be unique in
+     * the process (recording one twice is fatal); matrix runners use
+     * "workload/topology".
      */
     std::string cellLabel;
     /**
@@ -213,13 +214,6 @@ struct DriverConfig
     withMode(QueryMode m)
     {
         mode = m;
-        return *this;
-    }
-
-    DriverConfig&
-    onCore(int c)
-    {
-        core = c;
         return *this;
     }
 

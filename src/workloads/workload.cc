@@ -29,8 +29,10 @@ sortedVpns(const World& world)
 } // namespace
 
 CoreRunResult
-runBaseline(World& world, const Prepared& prepared, int core)
+runBaseline(World& world, const Prepared& prepared, int core,
+            const std::string& label)
 {
+    metrics::CellCapture capture(world.traceSink);
     world.resetTiming();
     world.warmLlc();
     Mmu mmu(world.vm, world.chip.mmu);
@@ -38,7 +40,10 @@ runBaseline(World& world, const Prepared& prepared, int core)
     CoreModel model(core, world.chip.core, world.hierarchy, mmu);
     mmu.setTraceSink(&world.traceSink);
     model.setTraceSink(&world.traceSink);
-    return model.runQueries(prepared.traces, prepared.profile);
+    const CoreRunResult result =
+        model.runQueries(prepared.traces, prepared.profile);
+    capture.record(label.empty() ? "baseline" : label);
+    return result;
 }
 
 namespace {
@@ -99,6 +104,7 @@ QeiRunStats
 runQei(World& world, const Prepared& prepared,
        const DriverConfig& config)
 {
+    metrics::CellCapture capture(world.traceSink);
     world.resetTiming();
     world.warmLlc();
     QeiSystem system(world.chip, world.events, world.hierarchy,
@@ -138,7 +144,7 @@ runQei(World& world, const Prepared& prepared,
     // timing; declared after the system so it dies first (its probes
     // borrow registry pointers into the component tree).
     std::unique_ptr<metrics::MetricsSampler> sampler;
-    if (metrics::runtimeConfig().enabled) {
+    if (metrics::runtimeConfig().sample) {
         sampler = makeSampler(world, system,
                               metrics::runtimeConfig().sampler);
     }
@@ -147,12 +153,11 @@ runQei(World& world, const Prepared& prepared,
     if (sampler != nullptr) {
         stats.metrics = std::make_shared<metrics::RunSeries>(
             sampler->drain());
-        metrics::Recorder::global().add(
-            config.cellLabel.empty() ? config.topology.name()
-                                     : config.cellLabel,
-            *stats.metrics);
         system.setMetricsSampler(nullptr);
     }
+    capture.record(config.cellLabel.empty() ? config.topology.name()
+                                            : config.cellLabel,
+                   stats.metrics.get());
     if (config.statsJsonOut != nullptr)
         *config.statsJsonOut = system.dumpStatsJson();
     return stats;

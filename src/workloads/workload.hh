@@ -142,9 +142,14 @@ class Workload
     virtual std::size_t defaultQueries() const { return 2000; }
 };
 
-/** Run the software baseline for @p prepared on core @p core. */
+/**
+ * Run the software baseline for @p prepared on core @p core. Under
+ * `--trace` / `--metrics` the run is recorded as telemetry cell
+ * @p label ("baseline" when empty), which must be unique in the
+ * process (see metrics::Recorder).
+ */
 CoreRunResult runBaseline(World& world, const Prepared& prepared,
-                          int core = 0);
+                          int core = 0, const std::string& label = "");
 
 /**
  * Run @p prepared through QEI under @p config: build a QeiSystem for
@@ -153,6 +158,9 @@ CoreRunResult runBaseline(World& world, const Prepared& prepared,
  * (closed loop unless the config carries an open-loop traffic
  * source). When config.statsJsonOut is non-null it receives the full
  * component-tree stats dump captured before the system is torn down.
+ * Under `--trace` / `--metrics` the run is recorded as telemetry cell
+ * config.cellLabel (the topology name when empty), which must be
+ * unique in the process (see metrics::Recorder).
  */
 QeiRunStats runQei(World& world, const Prepared& prepared,
                    const DriverConfig& config);

@@ -227,7 +227,7 @@ TEST(Metrics, RunSeriesJsonAndCsvShape)
               "breach");
 
     metrics::Recorder recorder;
-    recorder.add("unit/cell", run);
+    recorder.add("unit/cell", {run, std::nullopt});
     const std::string csv = recorder.csv();
     EXPECT_NE(csv.find("cell,series,kind,tick,value\n"),
               std::string::npos);
@@ -244,7 +244,7 @@ namespace
 QeiRunStats
 sampledRun(bool enable)
 {
-    metrics::runtimeConfig().enabled = enable;
+    metrics::runtimeConfig().sample = enable;
     auto workload = makeWorkloadFactories()[0]();
     World world(11);
     workload->build(world);
@@ -253,7 +253,7 @@ sampledRun(bool enable)
         runQei(world, prep,
                DriverConfig(SchemeConfig::coreIntegrated())
                    .withLabel("unit/cell"));
-    metrics::runtimeConfig().enabled = false;
+    metrics::runtimeConfig().sample = false;
     return stats;
 }
 
@@ -261,7 +261,7 @@ sampledRun(bool enable)
 
 TEST(Metrics, SamplingIsTimingNeutralAndCollectsSeries)
 {
-    metrics::Recorder::global().clear();
+    (void)metrics::Recorder::global().drain();
     const QeiRunStats off = sampledRun(false);
     const QeiRunStats on = sampledRun(true);
 
@@ -297,12 +297,29 @@ TEST(Metrics, SamplingIsTimingNeutralAndCollectsSeries)
     ASSERT_TRUE(onJson.contains("metrics"));
     EXPECT_GT(onJson.at("metrics").at("samples").asUint(), 0u);
 
-    // The run landed in the process-wide Recorder under its label.
-    EXPECT_EQ(metrics::Recorder::global().size(), 1u);
+    // The sampled run landed in the process-wide Recorder under its
+    // label (the unsampled one recorded nothing), and drain() empties
+    // it.
     const std::string csv = metrics::Recorder::global().csv();
     EXPECT_NE(csv.find("unit/cell,"), std::string::npos);
-    metrics::Recorder::global().clear();
-    EXPECT_EQ(metrics::Recorder::global().size(), 0u);
+    const auto cells = metrics::Recorder::global().drain();
+    ASSERT_EQ(cells.size(), 1u);
+    EXPECT_TRUE(cells.at("unit/cell").series.has_value());
+    EXPECT_FALSE(cells.at("unit/cell").trace.has_value());
+    EXPECT_TRUE(metrics::Recorder::global().drain().empty());
+}
+
+TEST(RecorderDeathTest, DuplicateCellLabelIsFatalAndNamed)
+{
+    // Two cells under one label would order their CSV rows and trace
+    // processes by thread schedule; the second add must die naming it.
+    EXPECT_DEATH(
+        {
+            metrics::Recorder recorder;
+            recorder.add("dpdk/Core-integrated", {});
+            recorder.add("dpdk/Core-integrated", {});
+        },
+        "dpdk/Core-integrated.*recorded twice");
 }
 
 TEST(Metrics, DrainResetsForTheNextRunRegion)

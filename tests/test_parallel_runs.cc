@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_util.hh"
+#include "metrics/metrics.hh"
 
 using namespace qei;
 using namespace qei::bench;
@@ -110,32 +111,27 @@ TEST(ParallelRuns, MatrixCoversAllSchemes)
 
 TEST(ParallelRuns, TraceEventCountsMatchAcrossThreadCounts)
 {
-    // Timeline capture must not perturb determinism: every per-cell
-    // trace at --threads 8 carries exactly the events of --threads 1.
-    MatrixOptions serial = testMatrix(1);
-    serial.captureTrace = true;
-    MatrixOptions parallel = testMatrix(8);
-    parallel.captureTrace = true;
+    // Timeline capture must not perturb determinism: every recorded
+    // cell at --threads 8 carries exactly the events of --threads 1.
+    metrics::runtimeConfig().trace = true;
+    runWorkloadMatrix(testFactories(), testMatrix(1));
+    const auto a = metrics::Recorder::global().drain();
+    runWorkloadMatrix(testFactories(), testMatrix(8));
+    const auto b = metrics::Recorder::global().drain();
+    metrics::runtimeConfig().trace = false;
 
-    const auto a = runWorkloadMatrix(testFactories(), serial);
-    const auto b = runWorkloadMatrix(testFactories(), parallel);
-
+    // Baseline + one per scheme for every workload, all traced.
+    EXPECT_EQ(a.size(), testFactories().size() *
+                            (1 + SchemeConfig::allSchemes().size()));
     ASSERT_EQ(a.size(), b.size());
-    for (std::size_t w = 0; w < a.size(); ++w) {
-        ASSERT_EQ(a[w].traces.size(), b[w].traces.size());
-        // Baseline + one per scheme, all armed.
-        EXPECT_EQ(a[w].traces.size(),
-                  1 + SchemeConfig::allSchemes().size());
-        for (const auto& [cell, buf] : a[w].traces) {
-            ASSERT_TRUE(b[w].traces.count(cell))
-                << a[w].name << " / " << cell;
-            const trace::TraceBuffer& other = b[w].traces.at(cell);
-            EXPECT_EQ(buf.emitted, other.emitted)
-                << a[w].name << " / " << cell;
-            EXPECT_EQ(buf.events.size(), other.events.size())
-                << a[w].name << " / " << cell;
-            EXPECT_GT(buf.emitted, 0u) << a[w].name << " / " << cell;
-        }
+    for (const auto& [label, cell] : a) {
+        ASSERT_TRUE(b.count(label)) << label;
+        const metrics::Recorder::Cell& other = b.at(label);
+        ASSERT_TRUE(cell.trace && other.trace) << label;
+        EXPECT_EQ(cell.trace->emitted, other.trace->emitted) << label;
+        EXPECT_EQ(cell.trace->events.size(), other.trace->events.size())
+            << label;
+        EXPECT_GT(cell.trace->emitted, 0u) << label;
     }
 }
 

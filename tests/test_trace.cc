@@ -14,6 +14,7 @@
 #include <map>
 
 #include "bench_util.hh"
+#include "metrics/metrics.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
 
@@ -272,23 +273,29 @@ TEST(Trace, BreakdownSpansTileTheQuerySpan)
 
 TEST(Trace, MatrixTraceFilesAreWellFormed)
 {
-    // End to end through the matrix writer: one merged file plus one
-    // per cell, all parseable.
+    // End to end through the per-cell recorder: a traced matrix
+    // run written by BenchReport::finish gives one merged file (one
+    // process per cell) plus one file per cell, all parseable.
     const std::string path = "test_trace_matrix.json";
+    bench::BenchOptions options;
+    options.tracePath = path;
+    bench::BenchReport report("test_trace", options);
     bench::MatrixOptions matrix;
     matrix.queries = 60;
     matrix.topologies = {SchemeConfig::coreIntegrated()};
-    matrix.tracePath = path;
     auto factories = makeWorkloadFactories();
     factories.resize(1);
+    metrics::runtimeConfig().trace = true;
     const auto runs = bench::runWorkloadMatrix(factories, matrix);
+    metrics::runtimeConfig().trace = false;
     ASSERT_EQ(runs.size(), 1u);
-    ASSERT_EQ(runs[0].traces.size(), 2u); // baseline + 1 scheme
+    ASSERT_TRUE(report.finish());
 
-    for (const std::string file :
+    const std::string scheme = SchemeConfig::coreIntegrated().name();
+    for (const std::string& file :
          {path, "test_trace_matrix." + runs[0].name + ".baseline.json",
-          "test_trace_matrix." + runs[0].name + "." +
-              SchemeConfig::coreIntegrated().name() + ".json"}) {
+          "test_trace_matrix." + runs[0].name + "." + scheme +
+              ".json"}) {
         std::ifstream in(file);
         ASSERT_TRUE(in.good()) << file;
         std::string text((std::istreambuf_iterator<char>(in)),
@@ -296,6 +303,19 @@ TEST(Trace, MatrixTraceFilesAreWellFormed)
         const Json doc = Json::parse(text);
         ASSERT_TRUE(doc.at("traceEvents").isArray()) << file;
         EXPECT_GT(doc.at("traceEvents").size(), 0u) << file;
+        if (file == path) {
+            // Processes ordered by label, byte-wise ('C' < 'b').
+            std::vector<std::string> processes;
+            for (const Json& ev : doc.at("traceEvents").elements()) {
+                if (ev.at("name").asString() == "process_name")
+                    processes.push_back(
+                        ev.at("args").at("name").asString());
+            }
+            EXPECT_EQ(processes,
+                      (std::vector<std::string>{
+                          runs[0].name + "/" + scheme,
+                          runs[0].name + "/baseline"}));
+        }
         std::remove(file.c_str());
     }
 }
