@@ -534,7 +534,7 @@ struct CellResult
 {
     std::string workloadName;
     CoreRunResult baseline;
-    Prepared prepared;
+    Prepared prepared; ///< baseline cell only
     QeiRunStats stats;
     ChipActivity activity;
     double wallMs = 0.0;
@@ -568,11 +568,14 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
         const std::size_t n = options.queries == 0
                                   ? workload->defaultQueries()
                                   : options.queries;
-        out.prepared = workload->prepare(world, n);
+        // Only the baseline cell's streams reach the WorkloadRun; the
+        // topology cells drop theirs with the World.
+        Prepared prepared = workload->prepare(world, n);
 
         if (s == 0) {
-            out.baseline = runBaseline(world, out.prepared, 0,
+            out.baseline = runBaseline(world, prepared, 0,
                                        out.workloadName + "/baseline");
+            out.prepared = std::move(prepared);
         } else {
             const Topology& topo = options.topologies[s - 1];
             // Cost-model class for this cell; Inherit mode means the
@@ -580,7 +583,7 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
             PlannerConfig plannerCfg;
             plannerCfg.workload = out.workloadName;
             out.stats = runQei(
-                world, out.prepared,
+                world, prepared,
                 DriverConfig(topo)
                     .withMode(options.mode)
                     .withPollBatch(options.pollBatch)

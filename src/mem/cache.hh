@@ -5,6 +5,11 @@
  * Tag-array only: data always lives in SimMemory (single coherence
  * domain, one writer at a time), so the model tracks presence, dirty
  * bits, and true LRU order per set.
+ *
+ * A line is 8 bytes: a 32-bit tag, the flush generation it was filled
+ * in (valid iff it equals the cache's current one, so flushAll is one
+ * increment), its LRU rank within the set (0 = MRU; the valid lines
+ * of a set always hold ranks 0..k-1) and a dirty bit.
  */
 
 #ifndef QEI_MEM_CACHE_HH
@@ -96,19 +101,28 @@ class Cache : public SimObject
   private:
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
+        std::uint32_t tag = 0;
+        std::uint16_t gen = 0; ///< 0 never matches gen_: invalid
+        std::uint8_t age = 0;  ///< LRU rank in the set, 0 = MRU
         bool dirty = false;
-        std::uint64_t lastUse = 0;
     };
+    static_assert(sizeof(Line) == 8);
 
     std::uint32_t setIndex(Addr paddr) const;
-    Addr tagOf(Addr paddr) const;
+    std::uint32_t tagOf(Addr paddr) const;
+    Line*
+    setBase(std::uint32_t set)
+    {
+        return &lines_[static_cast<std::size_t>(set) * params_.ways];
+    }
+    bool valid(const Line& line) const { return line.gen == gen_; }
+    /** Make @p line the set's MRU; lines younger than it age by one. */
+    void touch(Line* base, Line& line);
 
     CacheParams params_;
     std::uint32_t sets_;
     std::vector<Line> lines_; ///< sets_ * ways, row-major by set
-    std::uint64_t useClock_ = 0;
+    std::uint16_t gen_ = 1;   ///< current flush generation, never 0
 
     Counter hits_;
     Counter misses_;

@@ -140,10 +140,8 @@ class SimMemory
     pageFor(Addr page_number)
     {
         auto& slot = pages_[page_number];
-        if (!slot) {
-            slot = std::make_unique<Page>();
-            slot->fill(0);
-        }
+        if (!slot)
+            slot = std::make_unique<Page>(); // value-initialised: zeroed
         return *slot;
     }
 
