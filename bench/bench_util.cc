@@ -200,7 +200,7 @@ usageError(const char* prog, const std::string& message)
         stderr,
         "%s: %s\n"
         "usage: %s [options] [query-cap]\n"
-        "  --json <path>      write the JSON artifact to <path>\n"
+        "  --json <dir>       write BENCH_<bench>.json artifacts to <dir>\n"
         "  --trace <path>     write the Perfetto timeline to <path>\n"
         "  --metrics <path>   sample time-series metrics, write the "
         "CSV to <path>\n"
@@ -325,9 +325,9 @@ parseBenchArgs(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
         if (std::strcmp(arg, "--json") == 0) {
-            options.jsonPath = operand(i, "--json");
+            options.jsonDir = operand(i, "--json");
         } else if (std::strncmp(arg, "--json=", 7) == 0) {
-            options.jsonPath = arg + 7;
+            options.jsonDir = arg + 7;
         } else if (std::strcmp(arg, "--trace") == 0) {
             options.tracePath = operand(i, "--trace");
         } else if (std::strncmp(arg, "--trace=", 8) == 0) {
@@ -426,7 +426,7 @@ BenchReport::setValidation(validate::Suite suite)
 }
 
 bool
-BenchReport::finish()
+BenchReport::finishArtifact()
 {
     const double wallMs = msSince(start_);
 
@@ -505,26 +505,36 @@ BenchReport::finish()
     }
     std::printf("host wall time: %.1f ms (threads=%d)\n", wallMs,
                 options_.threads);
+    if (options_.jsonDir.empty())
+        return validationOk;
+    const std::string path =
+        options_.jsonDir + "/BENCH_" + root_.at("bench").asString() +
+        ".json";
+    if (!writeFile(path, root_.dump(2) + '\n'))
+        return false;
+    std::printf("wrote %s\n", path.c_str());
+    return validationOk;
+}
+
+bool
+BenchReport::finishAll(std::span<BenchReport> reports)
+{
+    bool ok = true;
+    for (BenchReport& report : reports)
+        ok = report.finishArtifact() && ok;
 
     // Render the process-wide Recorder to the --metrics CSV and the
-    // --trace files, then empty it, so back-to-back reports in one
-    // process don't leak cells into each other's files.
+    // --trace files once, after every report, then empty it.
+    const BenchOptions& options = reports.front().options_;
     metrics::Recorder& recorder = metrics::Recorder::global();
-    bool telemetryOk = true;
-    if (!options_.metricsPath.empty()) {
-        telemetryOk = writeFile(options_.metricsPath, recorder.csv());
-        if (telemetryOk)
-            std::printf("wrote %s\n", options_.metricsPath.c_str());
+    if (!options.metricsPath.empty()) {
+        ok = writeFile(options.metricsPath, recorder.csv()) && ok;
+        std::printf("wrote %s\n", options.metricsPath.c_str());
     }
     const auto cells = recorder.drain();
-    if (!options_.tracePath.empty())
-        telemetryOk = writeTraces(options_.tracePath, cells) && telemetryOk;
-    if (!enabled())
-        return validationOk && telemetryOk;
-    if (!writeFile(options_.jsonPath, root_.dump(2) + '\n'))
-        return false;
-    std::printf("wrote %s\n", options_.jsonPath.c_str());
-    return validationOk && telemetryOk;
+    if (!options.tracePath.empty())
+        ok = writeTraces(options.tracePath, cells) && ok;
+    return ok;
 }
 
 namespace {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,8 +34,9 @@ namespace qei::bench {
 /** Command-line options shared by every harness. */
 struct BenchOptions
 {
-    /** Destination of the JSON artifact; empty = text output only. */
-    std::string jsonPath;
+    /** `--json DIR`: each report writes DIR/BENCH_<bench>.json; empty
+     *  = text output only. */
+    std::string jsonDir;
     /**
      * Destination of the merged Perfetto timeline (`--trace <path>`);
      * non-empty enables trace capture of every simulated cell, and
@@ -95,8 +97,8 @@ struct BenchOptions
 };
 
 /**
- * Parse the harness command line. Recognises `--json <path>`,
- * `--json=<path>`, `--trace <path>`, `--trace=<path>`,
+ * Parse the harness command line. Recognises `--json <dir>`,
+ * `--json=<dir>`, `--trace <path>`, `--trace=<path>`,
  * `--metrics <path>`, `--metrics=<path>` (enables time-series
  * sampling and writes the CSV there), `--threads <n>`, `--threads=<n>`
  * (n = 0 or "auto" uses every host core; anything but a whole count
@@ -115,7 +117,7 @@ struct BenchOptions
 BenchOptions parseBenchArgs(int argc, char** argv);
 
 /**
- * Collector for one harness's machine-readable results.
+ * Collector for one artifact's machine-readable results.
  *
  * Harnesses fill data() with their figure-specific payload (and
  * usually mirror the printed table via setTable()); the constructor
@@ -125,22 +127,12 @@ BenchOptions parseBenchArgs(int argc, char** argv);
  * `sim_events` / `sim_events_per_sec` and every per-cell
  * `host_wall_ms` found in the payload), aggregates every per-run
  * `breakdown` found in the payload into a top-level `breakdown`,
- * writes the metrics::Recorder's cells — the CSV to the `--metrics`
- * path; the merged Perfetto file to the `--trace` path plus one file
- * per cell at `<stem>.<label with '/' -> '.'>.json`, all ordered by
- * label — and writes the artifact to the `--json` path, if one was
- * given.
+ * and writes the artifact to the `--json` directory, if one was given.
  */
 class BenchReport
 {
   public:
     BenchReport(std::string bench_name, BenchOptions options);
-
-    /** True when a `--json` destination was given. */
-    bool enabled() const { return !options_.jsonPath.empty(); }
-
-    /** Parsed harness options (threads for matrix fan-out). */
-    const BenchOptions& options() const { return options_; }
 
     /** Root object; preloaded with {"bench": <name>}. */
     Json& data() { return root_; }
@@ -160,12 +152,25 @@ class BenchReport
      * payload and embed the `validation` block; print the
      * PASS/WARN/FAIL table under `--validate`; stamp host-perf
      * fields, print the total host wall time, and write the artifact
-     * when enabled. @return false on I/O failure, or — under
-     * `--validate` only — when any expectation FAILs.
+     * to the `--json` directory; then finishAll()'s telemetry.
+     * @return false on I/O failure, or — under `--validate` only —
+     * when any expectation FAILs.
      */
-    bool finish();
+    bool finish() { return finishAll({this, 1}); }
+
+    /**
+     * Finish each of @p reports (artifacts of one process), then write
+     * the process's telemetry once, with the first report's options:
+     * the metrics::Recorder's cells — the CSV to the `--metrics` path;
+     * the merged Perfetto file to the `--trace` path plus one file per
+     * cell at `<stem>.<label with '/' -> '.'>.json`, ordered by label.
+     */
+    static bool finishAll(std::span<BenchReport> reports);
 
   private:
+    /** finish() without the telemetry. */
+    bool finishArtifact();
+
     BenchOptions options_;
     Json root_;
     validate::Suite suite_;

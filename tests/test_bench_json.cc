@@ -1,7 +1,8 @@
 /**
  * Golden test for the benchmark `--json` path: run a small workload
- * through the same runWorkloadMatrix -> toJson pipeline fig07_speedup
- * uses and validate the artifact schema against the in-memory results.
+ * through the same runWorkloadMatrix -> toJson pipeline paper_matrix's
+ * Fig. 7 projection uses and validate the artifact schema against the
+ * in-memory results.
  */
 
 #include <gtest/gtest.h>
@@ -42,16 +43,16 @@ TEST(BenchJson, ParseBenchArgsRecognisesJsonFlag)
 {
     char prog[] = "bench";
     char flag[] = "--json";
-    char path[] = "out.json";
-    char* argv1[] = {prog, flag, path};
-    EXPECT_EQ(parseBenchArgs(3, argv1).jsonPath, "out.json");
+    char dir[] = "out";
+    char* argv1[] = {prog, flag, dir};
+    EXPECT_EQ(parseBenchArgs(3, argv1).jsonDir, "out");
 
-    char combined[] = "--json=other.json";
+    char combined[] = "--json=other";
     char* argv2[] = {prog, combined};
-    EXPECT_EQ(parseBenchArgs(2, argv2).jsonPath, "other.json");
+    EXPECT_EQ(parseBenchArgs(2, argv2).jsonDir, "other");
 
     char* argv3[] = {prog};
-    EXPECT_TRUE(parseBenchArgs(1, argv3).jsonPath.empty());
+    EXPECT_TRUE(parseBenchArgs(1, argv3).jsonDir.empty());
 }
 
 TEST(BenchJson, RunIsSane)

@@ -486,10 +486,10 @@ TEST(BenchArgsDeathTest, BadThreadCountDiesBeforeTheRun)
 TEST(BenchArgs, CollectsPositionalsAndFlags)
 {
     const bench::BenchOptions options = parseArgs(
-        {"--validate", "--threads", "2", "300", "--json=/tmp/x.json"});
+        {"--validate", "--threads", "2", "300", "--json=artifacts"});
     EXPECT_TRUE(options.validate);
     EXPECT_EQ(options.threads, 2);
-    EXPECT_EQ(options.jsonPath, "/tmp/x.json");
+    EXPECT_EQ(options.jsonDir, "artifacts");
     EXPECT_EQ(options.queryCap, 300u);
     EXPECT_EQ(options.capped(1200), 300u);
     EXPECT_EQ(options.capped(256), 256u);

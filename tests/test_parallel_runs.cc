@@ -40,6 +40,10 @@ expectSameStats(const QeiRunStats& a, const QeiRunStats& b)
     EXPECT_EQ(a.remoteCompares, b.remoteCompares);
     EXPECT_DOUBLE_EQ(a.avgQstOccupancy, b.avgQstOccupancy);
     EXPECT_DOUBLE_EQ(a.maxInFlightObserved, b.maxInFlightObserved);
+    EXPECT_EQ(a.resultChecksum, b.resultChecksum);
+    EXPECT_EQ(a.faultsInjected, b.faultsInjected);
+    EXPECT_EQ(a.swFallbacks, b.swFallbacks);
+    EXPECT_EQ(a.swFallbackCycles, b.swFallbackCycles);
     // The latency breakdown is integer-total based, so it must also be
     // bit-identical across thread counts.
     EXPECT_EQ(a.breakdownQueries, b.breakdownQueries);
@@ -50,6 +54,16 @@ expectSameStats(const QeiRunStats& a, const QeiRunStats& b)
         EXPECT_EQ(cycles, b.breakdownCycles.at(component))
             << component;
     }
+}
+
+void
+expectSameActivity(const ChipActivity& a, const ChipActivity& b)
+{
+    EXPECT_EQ(a.l1Accesses, b.l1Accesses);
+    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
+    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
+    EXPECT_EQ(a.dramAccesses, b.dramAccesses);
+    EXPECT_EQ(a.nocBytes, b.nocBytes);
 }
 
 /** Two workloads keep the test fast while still crossing workloads. */
@@ -144,5 +158,52 @@ TEST(ParallelRuns, HostPerfFieldsPopulated)
         EXPECT_EQ(run.cellWallMs.size(),
                   1 + SchemeConfig::allSchemes().size());
         EXPECT_TRUE(run.cellWallMs.count("baseline"));
+    }
+}
+
+TEST(ParallelRuns, CellsDoNotDependOnTheirNeighbours)
+{
+    // paper_matrix projects Figs. 1, 9 and 11 from the full 30-cell
+    // matrix, where their harnesses used to run only their own cells.
+    // That is sound only if a cell's numbers do not depend on which
+    // other cells run beside it, at any thread count.
+    const auto factories = makeWorkloadFactories();
+    MatrixOptions full;
+    full.queries = 60;
+    full.threads = 4;
+    const auto reference = runWorkloadMatrix(factories, full);
+    ASSERT_EQ(reference.size(), factories.size());
+
+    const std::vector<std::vector<Topology>> subsets{
+        {SchemeConfig::chaTlb(), SchemeConfig::chaNoTlb(),
+         SchemeConfig::coreIntegrated()},
+        {}};
+    for (const std::vector<Topology>& topologies : subsets) {
+        for (const int threads : {1, 4}) {
+            MatrixOptions matrix = full;
+            matrix.topologies = topologies;
+            matrix.threads = threads;
+            const auto runs = runWorkloadMatrix(factories, matrix);
+            ASSERT_EQ(runs.size(), reference.size());
+            for (std::size_t w = 0; w < runs.size(); ++w) {
+                const WorkloadRun& ref = reference[w];
+                const WorkloadRun& run = runs[w];
+                SCOPED_TRACE(run.name + " with " +
+                             std::to_string(topologies.size()) +
+                             " topologies at --threads " +
+                             std::to_string(threads));
+                EXPECT_EQ(run.name, ref.name);
+                expectSameBaseline(run.baseline, ref.baseline);
+                expectSameActivity(run.activity.at("baseline"),
+                                   ref.activity.at("baseline"));
+                ASSERT_EQ(run.schemes.size(), topologies.size());
+                for (const auto& [scheme, stats] : run.schemes) {
+                    SCOPED_TRACE(scheme);
+                    expectSameStats(stats, ref.schemes.at(scheme));
+                    expectSameActivity(run.activity.at(scheme),
+                                       ref.activity.at(scheme));
+                }
+            }
+        }
     }
 }

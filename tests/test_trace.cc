@@ -319,3 +319,61 @@ TEST(Trace, MatrixTraceFilesAreWellFormed)
         std::remove(file.c_str());
     }
 }
+
+TEST(Trace, SeveralReportsShareOneTelemetryWrite)
+{
+    // One process writing two artifacts, as paper_matrix writes five:
+    // each report lands at <dir>/BENCH_<bench>.json, and the --trace
+    // and --metrics files are written once, after both, from every
+    // recorded cell; the second report must not overwrite them empty.
+    const std::string dir = ::testing::TempDir();
+    bench::BenchOptions options;
+    options.jsonDir = dir;
+    options.tracePath = dir + "test_trace_reports.json";
+    options.metricsPath = dir + "test_trace_reports.csv";
+    std::vector<bench::BenchReport> reports;
+    reports.emplace_back("report_a", options);
+    reports.emplace_back("report_b", options);
+    bench::MatrixOptions matrix;
+    matrix.queries = 60;
+    matrix.topologies = {SchemeConfig::coreIntegrated()};
+    auto factories = makeWorkloadFactories();
+    factories.resize(1);
+    metrics::runtimeConfig().trace = true;
+    metrics::runtimeConfig().sample = true;
+    const auto runs = bench::runWorkloadMatrix(factories, matrix);
+    metrics::runtimeConfig().trace = false;
+    metrics::runtimeConfig().sample = false;
+    ASSERT_TRUE(bench::BenchReport::finishAll(reports));
+
+    auto slurp = [](const std::string& file) {
+        std::ifstream in(file);
+        EXPECT_TRUE(in.good()) << file;
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    for (const std::string bench : {"report_a", "report_b"}) {
+        const std::string file = dir + "/BENCH_" + bench + ".json";
+        EXPECT_EQ(Json::parse(slurp(file)).at("bench").asString(),
+                  bench);
+        std::remove(file.c_str());
+    }
+    const std::string scheme = SchemeConfig::coreIntegrated().name();
+    const std::string cell = runs[0].name + "/" + scheme;
+    const Json merged = Json::parse(slurp(options.tracePath));
+    std::size_t processes = 0;
+    for (const Json& ev : merged.at("traceEvents").elements()) {
+        const Json* name = ev.find("name");
+        if (name && name->asString() == "process_name")
+            ++processes;
+    }
+    EXPECT_EQ(processes, 2u);
+    EXPECT_NE(slurp(options.metricsPath).find("\n" + cell + ","),
+              std::string::npos);
+    for (const std::string& file :
+         {options.tracePath, options.metricsPath,
+          dir + "test_trace_reports." + runs[0].name + ".baseline.json",
+          dir + "test_trace_reports." + runs[0].name + "." + scheme +
+              ".json"})
+        std::remove(file.c_str());
+}

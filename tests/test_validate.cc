@@ -289,14 +289,28 @@ declaredHarnesses()
     return names;
 }
 
+/**
+ * The artifacts the suite writes: one per declared harness, named
+ * after it, except paper_matrix, which writes one per figure it
+ * projects from its single matrix run.
+ */
+std::set<std::string>
+writtenArtifacts()
+{
+    std::set<std::string> names = declaredHarnesses();
+    EXPECT_EQ(names.erase("paper_matrix"), 1u)
+        << "bench/CMakeLists.txt no longer declares paper_matrix";
+    names.insert({"fig01_profiling", "fig07_speedup", "fig09_end_to_end",
+                  "fig11_inst_count", "fig12_dyn_power"});
+    return names;
+}
+
 TEST(Experiments, CanonicalOrderCoversAllHarnesses)
 {
     const std::vector<std::string>& order = canonicalBenchOrder();
     const std::set<std::string> listed(order.begin(), order.end());
     EXPECT_EQ(listed.size(), order.size()) << "a harness is listed twice";
-    const std::set<std::string> declared = declaredHarnesses();
-    EXPECT_FALSE(declared.empty());
-    EXPECT_EQ(listed, declared);
+    EXPECT_EQ(listed, writtenArtifacts());
     EXPECT_EQ(order.front(), "fig01_profiling");
 }
 
